@@ -59,7 +59,7 @@ const N_DIRS: usize = 6;
 const N_CLASSES: usize = 3;
 
 /// Aggregate NoC statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NocStats {
     /// Packets routed.
     pub packets: u64,

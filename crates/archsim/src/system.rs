@@ -81,7 +81,7 @@ struct Bank {
 }
 
 /// End-of-run statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecStats {
     /// Simulated execution time, seconds.
     pub exec_time_secs: f64,

@@ -14,7 +14,7 @@ use immersion_core::design::CmpDesign;
 use immersion_core::dtm::{DtmController, PowerPhases};
 use immersion_core::explorer::{frequency_vs_chips, max_frequency, solve_at};
 use immersion_core::layout::{evaluate_pattern, optimize_annealed, optimize_exhaustive};
-use immersion_core::perf::{geomean_relative, relative_times, run_npb_suite, CoolingRun};
+use immersion_core::perf::{geomean_relative, relative_times, run_npb_suites, CoolingRun};
 use immersion_core::report::{fmt_freq, fmt_ratio, Table};
 use immersion_power::chips::{
     all_chips, high_frequency_cmp, low_power_cmp, rapl_anchors, xeon_e5_2667v4, xeon_phi_7290,
@@ -433,10 +433,11 @@ fn npb_figure(
         CoolingParams::fluorinert(),
         CoolingParams::water_immersion(),
     ];
-    let runs: Vec<CoolingRun> = coolings
+    let designs: Vec<CmpDesign> = coolings
         .iter()
-        .map(|&c| run_npb_suite(&design(chip.clone(), chips, c, q), q.ops_per_thread, 42))
+        .map(|&c| design(chip.clone(), chips, c, q))
         .collect();
+    let runs: Vec<CoolingRun> = run_npb_suites(&designs, q.ops_per_thread, 42);
     // Pick the requested reference; fall back to mineral oil when it is
     // infeasible (the paper does the same for Figure 11).
     let reference = runs

@@ -6,21 +6,31 @@
 //! times relative to a reference cooling option are exactly the bars of
 //! Figures 10–13.
 //!
-//! Benchmarks for a configuration run in parallel under rayon — each
-//! simulation is single-threaded and deterministic.
+//! A simulation depends only on the CMP configuration (chips ×
+//! frequency), never on the cooling that sustains it. Coolings often
+//! share a frequency (mineral oil and fluorinert do in all four
+//! figures), so [`run_npb_suites`] simulates each distinct
+//! configuration once and hands its statistics to every cooling that
+//! reached it.
+//!
+//! Simulations run one after another on the calling thread; each is
+//! single-threaded and deterministic. They are not forked: a
+//! nine-benchmark suite is far below the pool's split threshold, and
+//! forking the (configuration, benchmark) cells with a minimum chunk of
+//! one measured no faster on the NPB figure campaign, whose campaign
+//! workers already keep every core busy, while raising its peak RSS.
 
 use crate::design::CmpDesign;
 use crate::explorer::max_frequency;
 use immersion_archsim::{ExecStats, System, SystemConfig};
 use immersion_npb::{Benchmark, TraceGenerator};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Instructions simulated per thread for the figure-quality runs.
 pub const DEFAULT_OPS_PER_THREAD: u64 = 100_000;
 
 /// The outcome of one (cooling, benchmark) cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NpbResult {
     /// Benchmark.
     pub benchmark: Benchmark,
@@ -35,7 +45,7 @@ pub struct NpbResult {
 /// All NPB results for one cooling option (or `None` when the option
 /// cannot sustain the stack at any VFS step — the paper's missing
 /// bars).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoolingRun {
     /// Cooling option name.
     pub cooling: String,
@@ -48,19 +58,51 @@ pub struct CoolingRun {
 /// Simulate the nine NPB programs on `design`'s CMP at the maximum
 /// frequency its cooling sustains.
 pub fn run_npb_suite(design: &CmpDesign, ops_per_thread: u64, seed: u64) -> CoolingRun {
-    let Some(step) = max_frequency(design) else {
-        return CoolingRun {
-            cooling: design.cooling.name.to_string(),
-            freq_ghz: None,
-            results: Vec::new(),
-        };
-    };
-    let results = run_npb_at(design, step.freq_ghz, ops_per_thread, seed);
-    CoolingRun {
-        cooling: design.cooling.name.to_string(),
-        freq_ghz: Some(step.freq_ghz),
-        results,
+    match max_frequency(design) {
+        Some(step) => {
+            let stats = simulate_suite(&config(design, step.freq_ghz), ops_per_thread, seed);
+            feasible(design, step.freq_ghz, &stats)
+        }
+        None => infeasible(design),
     }
+}
+
+/// [`run_npb_suite`] for every design, simulating each distinct CMP
+/// configuration once. Runs come back in `designs` order and equal
+/// per-design [`run_npb_suite`] calls field for field.
+pub fn run_npb_suites(designs: &[CmpDesign], ops_per_thread: u64, seed: u64) -> Vec<CoolingRun> {
+    let freqs: Vec<Option<f64>> = designs
+        .iter()
+        .map(|d| max_frequency(d).map(|step| step.freq_ghz))
+        .collect();
+    // Distinct configurations in first-seen order; each feasible design
+    // keeps the index of its configuration.
+    let mut configs: Vec<SystemConfig> = Vec::new();
+    let cells: Vec<Option<(f64, usize)>> = designs
+        .iter()
+        .zip(freqs)
+        .map(|(design, freq)| {
+            let f = freq?;
+            let cfg = config(design, f);
+            let i = configs.iter().position(|c| *c == cfg).unwrap_or_else(|| {
+                configs.push(cfg);
+                configs.len() - 1
+            });
+            Some((f, i))
+        })
+        .collect();
+    let suites: Vec<Vec<ExecStats>> = configs
+        .iter()
+        .map(|cfg| simulate_suite(cfg, ops_per_thread, seed))
+        .collect();
+    designs
+        .iter()
+        .zip(cells)
+        .map(|(design, cell)| match cell {
+            Some((f, i)) => feasible(design, f, &suites[i]),
+            None => infeasible(design),
+        })
+        .collect()
 }
 
 /// Simulate the suite at an explicit frequency (used by ablations).
@@ -70,21 +112,55 @@ pub fn run_npb_at(
     ops_per_thread: u64,
     seed: u64,
 ) -> Vec<NpbResult> {
-    let cooling = design.cooling.name.to_string();
+    let stats = simulate_suite(&config(design, freq_ghz), ops_per_thread, seed);
+    results(design, freq_ghz, &stats)
+}
+
+/// The CMP configuration `design` simulates at `freq_ghz`.
+fn config(design: &CmpDesign, freq_ghz: f64) -> SystemConfig {
+    SystemConfig::baseline(design.chips, freq_ghz)
+}
+
+/// One simulation per benchmark, in [`Benchmark::all`] order: the only
+/// place the suite runners enter the simulator.
+fn simulate_suite(cfg: &SystemConfig, ops_per_thread: u64, seed: u64) -> Vec<ExecStats> {
     Benchmark::all()
-        .into_par_iter()
+        .into_iter()
         .map(|bench| {
-            let cfg = SystemConfig::baseline(design.chips, freq_ghz);
             let gen = TraceGenerator::new(bench.descriptor(), cfg.threads(), ops_per_thread, seed);
-            let stats = System::new(cfg).run(&gen);
-            NpbResult {
-                benchmark: bench,
-                cooling: cooling.clone(),
-                freq_ghz,
-                stats,
-            }
+            System::new(*cfg).run(&gen)
         })
         .collect()
+}
+
+/// Label a suite's statistics with `design`'s cooling and the frequency.
+fn results(design: &CmpDesign, freq_ghz: f64, stats: &[ExecStats]) -> Vec<NpbResult> {
+    Benchmark::all()
+        .into_iter()
+        .zip(stats)
+        .map(|(benchmark, stats)| NpbResult {
+            benchmark,
+            cooling: design.cooling.name.to_string(),
+            freq_ghz,
+            stats: stats.clone(),
+        })
+        .collect()
+}
+
+fn feasible(design: &CmpDesign, freq_ghz: f64, stats: &[ExecStats]) -> CoolingRun {
+    CoolingRun {
+        cooling: design.cooling.name.to_string(),
+        freq_ghz: Some(freq_ghz),
+        results: results(design, freq_ghz, stats),
+    }
+}
+
+fn infeasible(design: &CmpDesign) -> CoolingRun {
+    CoolingRun {
+        cooling: design.cooling.name.to_string(),
+        freq_ghz: None,
+        results: Vec::new(),
+    }
 }
 
 /// Execution times of `run` relative to `reference` (per benchmark,
@@ -173,6 +249,42 @@ mod tests {
             assert!((r - 1.0).abs() < 1e-12, "{b:?} rel {r}");
         }
         assert!((geomean_relative(&rel) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn suites_simulate_each_config_once_and_match_single_runs() {
+        // Figure 11's quick designs (8 low-power chips, 8×8 grid), then
+        // a design no frequency can sustain: 12 low-power chips in air.
+        let mut designs: Vec<CmpDesign> = [
+            CoolingParams::water_pipe(),
+            CoolingParams::mineral_oil(),
+            CoolingParams::fluorinert(),
+            CoolingParams::water_immersion(),
+        ]
+        .into_iter()
+        .map(|c| CmpDesign::new(low_power_cmp(), 8, c).with_grid(8, 8))
+        .collect();
+        let mut air = design(CoolingParams::air());
+        air.chips = 12;
+        designs.push(air);
+
+        let suites = run_npb_suites(&designs, 1_000, 42);
+        let singles: Vec<CoolingRun> = designs
+            .iter()
+            .map(|d| run_npb_suite(d, 1_000, 42))
+            .collect();
+        assert_eq!(suites, singles);
+
+        let mut configs: Vec<SystemConfig> = Vec::new();
+        for (d, run) in designs.iter().zip(&suites).take(4) {
+            let cfg = config(d, run.freq_ghz.unwrap());
+            if !configs.contains(&cfg) {
+                configs.push(cfg);
+            }
+        }
+        assert_eq!(configs.len(), 2, "fig11 coolings share frequencies");
+        assert_eq!(suites[4].freq_ghz, None);
+        assert!(suites[4].results.is_empty());
     }
 
     #[test]
