@@ -1110,21 +1110,20 @@ pub fn riverfarm_study(q: Quality) -> Vec<Table> {
 /// Extension: stride-prefetcher ablation on the CMP simulator — per
 /// benchmark change in L1 miss rate and execution time.
 pub fn prefetch_study(q: Quality) -> Vec<Table> {
-    use immersion_archsim::{System, SystemConfig};
-    use immersion_npb::{Benchmark, TraceGenerator};
+    use immersion_archsim::SystemConfig;
+    use immersion_core::perf::simulate_suite;
+    use immersion_npb::Benchmark;
     let mut t = Table::new(
         "Stride prefetcher (distance 16) on the 2-chip CMP @ 2.0 GHz",
         &["benchmark", "miss rate off", "miss rate on", "speedup"],
     );
-    for bench in Benchmark::all() {
-        let run = |prefetch: bool| {
-            let mut cfg = SystemConfig::baseline(2, 2.0);
-            cfg.prefetch_next_line = prefetch;
-            let gen = TraceGenerator::new(bench.descriptor(), cfg.threads(), q.ops_per_thread, 42);
-            System::new(cfg).run(&gen)
-        };
-        let off = run(false);
-        let on = run(true);
+    let suite = |prefetch: bool| {
+        let mut cfg = SystemConfig::baseline(2, 2.0);
+        cfg.prefetch_next_line = prefetch;
+        simulate_suite(&cfg, q.ops_per_thread, 42)
+    };
+    let (off, on) = (suite(false), suite(true));
+    for ((bench, off), on) in Benchmark::all().into_iter().zip(&off).zip(&on) {
         t.row(vec![
             bench.name().into(),
             format!("{:.3}", off.l1_miss_rate),

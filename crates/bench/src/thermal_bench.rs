@@ -3,31 +3,20 @@
 //!
 //! Three grid sizes of the 8-chip water-immersion fixture are solved
 //! cold (ambient guess, solver state reset) and warm (second solve of
-//! the same operating point) on thread pools of width 1..=N, recording
-//! wall-clock, CG iterations, and speedup vs. the 1-thread pool. Each
-//! grid is measured with the multigrid preconditioner (the default)
-//! across all pool widths and with plain Jacobi at width 1 as the
-//! comparison arm. On top of that, the explorer's binary search runs
-//! warm- and cold-start on the same fixture to measure the
-//! solver-state-reuse saving in CG iterations. CI gates on two
-//! machine-independent numbers: mean cold multigrid iterations must
-//! not regress >20% vs. the checked-in baseline, and no cold
-//! multigrid solve of the 8-chip fixture may exceed
-//! [`MG_COLD_ITER_CAP`] iterations.
+//! the same operating point) by Jacobi-preconditioned CG on thread
+//! pools of width 1..=N, recording wall-clock, CG iterations, and
+//! speedup vs. the 1-thread pool. On top of that, the explorer's binary
+//! search runs warm- and cold-start on the same fixture to measure the
+//! solver-state-reuse saving in CG iterations. CI gates on one
+//! machine-independent number: mean cold CG iterations must not
+//! regress >20% vs. the checked-in baseline.
 
 use immersion_core::design::CmpDesign;
 use immersion_core::explorer::max_frequency_searched;
 use immersion_power::chips::low_power_cmp;
 use immersion_thermal::stack3d::CoolingParams;
-use immersion_thermal::PrecondChoice;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// Hard ceiling on cold multigrid CG iterations for the 8-chip
-/// fixture (any grid). The hierarchy converges in ~13; Jacobi needs
-/// ~130 — tripping this means the multigrid path silently degraded
-/// or fell back.
-pub const MG_COLD_ITER_CAP: usize = 20;
 
 /// How to run the benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,8 +50,6 @@ pub struct SolveCase {
     pub grid: usize,
     /// Thermal nodes in the model.
     pub nodes: usize,
-    /// Which preconditioner this case ran: `"multigrid"` or `"jacobi"`.
-    pub precond: String,
     /// Thread-pool width used.
     pub threads: usize,
     /// Cold solve wall-clock, milliseconds (best of `reps`).
@@ -101,10 +88,10 @@ pub struct BenchReport {
     /// Hardware threads the machine actually has — speedups are only
     /// meaningful when this is >= the pool width.
     pub threads_available: usize,
-    /// Per-(grid, precond, threads) solver measurements.
+    /// Per-(grid, threads) solver measurements.
     pub cases: Vec<SolveCase>,
-    /// Mean cold CG iterations across the multigrid cases — the CI
-    /// regression gate.
+    /// Mean cold CG iterations across all cases — the CI regression
+    /// gate.
     pub mean_cold_iters: f64,
     /// Explorer warm-vs-cold comparison on the 8-chip fixture.
     pub search: SearchComparison,
@@ -145,63 +132,48 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
     let mut cases = Vec::new();
 
     for grid in grids(cfg.smoke) {
-        // The multigrid arm sweeps every pool width; the Jacobi arm is
-        // the comparison point — iteration counts are width-invariant,
-        // so one width-1 measurement suffices.
-        let arms: [(PrecondChoice, &str, usize); 2] = [
-            (PrecondChoice::Auto, "multigrid", cfg.threads.max(1)),
-            (PrecondChoice::Jacobi, "jacobi", 1),
-        ];
-        for (choice, name, widths) in arms {
-            let design = fixture(grid).with_preconditioner(choice);
-            let model = design.thermal_model().map_err(|e| e.to_string())?;
-            if name == "multigrid" && model.multigrid().is_none() {
-                return Err(format!(
-                    "multigrid hierarchy failed to build for grid {grid}"
-                ));
+        let design = fixture(grid);
+        let model = design.thermal_model().map_err(|e| e.to_string())?;
+        let mut p = model.zero_power();
+        for die in 0..8 {
+            for block in design.chip.floorplan.blocks() {
+                p.set(die, &block.name, 4.0).map_err(|e| e.to_string())?;
             }
-            let mut p = model.zero_power();
-            for die in 0..8 {
-                for block in design.chip.floorplan.blocks() {
-                    p.set(die, &block.name, 4.0).map_err(|e| e.to_string())?;
-                }
-            }
-            let mut base_cold_ms = None;
-            for threads in 1..=widths {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .map_err(|e| e.to_string())?;
-                let (cold_wall_ms, cold_iters) = pool.install(|| {
-                    best_ms(reps, || {
-                        model.reset_solver_state();
-                        model.solve_steady(&p).map(|s| s.iterations())
-                    })
-                });
-                let cold_iters = cold_iters.map_err(|e| e.to_string())?;
-                let (warm_wall_ms, warm_iters) = pool.install(|| {
+        }
+        let mut base_cold_ms = None;
+        for threads in 1..=cfg.threads.max(1) {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .map_err(|e| e.to_string())?;
+            let (cold_wall_ms, cold_iters) = pool.install(|| {
+                best_ms(reps, || {
                     model.reset_solver_state();
-                    let _ = model.solve_steady(&p);
-                    best_ms(reps, || model.solve_steady(&p).map(|s| s.iterations()))
-                });
-                let warm_iters = warm_iters.map_err(|e| e.to_string())?;
-                let base = *base_cold_ms.get_or_insert(cold_wall_ms);
-                cases.push(SolveCase {
-                    grid,
-                    nodes: model.n_nodes(),
-                    precond: name.to_string(),
-                    threads,
-                    cold_wall_ms,
-                    cold_iters,
-                    warm_wall_ms,
-                    warm_iters,
-                    speedup_vs_1t: if cold_wall_ms > 0.0 {
-                        base / cold_wall_ms
-                    } else {
-                        1.0
-                    },
-                });
-            }
+                    model.solve_steady(&p).map(|s| s.iterations())
+                })
+            });
+            let cold_iters = cold_iters.map_err(|e| e.to_string())?;
+            let (warm_wall_ms, warm_iters) = pool.install(|| {
+                model.reset_solver_state();
+                let _ = model.solve_steady(&p);
+                best_ms(reps, || model.solve_steady(&p).map(|s| s.iterations()))
+            });
+            let warm_iters = warm_iters.map_err(|e| e.to_string())?;
+            let base = *base_cold_ms.get_or_insert(cold_wall_ms);
+            cases.push(SolveCase {
+                grid,
+                nodes: model.n_nodes(),
+                threads,
+                cold_wall_ms,
+                cold_iters,
+                warm_wall_ms,
+                warm_iters,
+                speedup_vs_1t: if cold_wall_ms > 0.0 {
+                    base / cold_wall_ms
+                } else {
+                    1.0
+                },
+            });
         }
     }
 
@@ -218,11 +190,10 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
         0.0
     };
 
-    let mg_cases: Vec<&SolveCase> = cases.iter().filter(|c| c.precond == "multigrid").collect();
     let mean_cold_iters =
-        mg_cases.iter().map(|c| c.cold_iters as f64).sum::<f64>() / mg_cases.len().max(1) as f64;
+        cases.iter().map(|c| c.cold_iters as f64).sum::<f64>() / cases.len().max(1) as f64;
     Ok(BenchReport {
-        version: 2,
+        version: 3,
         smoke: cfg.smoke,
         threads_available,
         cases,
@@ -236,23 +207,13 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, String> {
     })
 }
 
-/// Compare a fresh report against a checked-in baseline: mean cold
-/// multigrid CG iterations must not regress by more than 20%, and no
-/// cold multigrid solve may exceed [`MG_COLD_ITER_CAP`] iterations.
+/// Compare a fresh report against a checked-in baseline: mean cold CG
+/// iterations must not regress by more than 20%.
 pub fn check_against_baseline(report: &BenchReport, baseline_path: &str) -> Result<String, String> {
     let text =
         std::fs::read_to_string(baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
     let baseline: BenchReport =
         serde_json::from_str(&text).map_err(|e| format!("{baseline_path}: {e}"))?;
-    for c in &report.cases {
-        if c.precond == "multigrid" && c.cold_iters > MG_COLD_ITER_CAP {
-            return Err(format!(
-                "multigrid cold solve on grid {} took {} CG iterations, \
-                 over the hard cap of {MG_COLD_ITER_CAP}",
-                c.grid, c.cold_iters
-            ));
-        }
-    }
     let limit = baseline.mean_cold_iters * 1.20;
     if report.mean_cold_iters > limit {
         return Err(format!(
@@ -262,8 +223,7 @@ pub fn check_against_baseline(report: &BenchReport, baseline_path: &str) -> Resu
         ));
     }
     Ok(format!(
-        "baseline check ok: mean cold iterations {:.1} vs baseline {:.1} (limit {:.1}), \
-         all multigrid cold solves within the {MG_COLD_ITER_CAP}-iteration cap",
+        "baseline check ok: mean cold iterations {:.1} vs baseline {:.1} (limit {:.1})",
         report.mean_cold_iters, baseline.mean_cold_iters, limit
     ))
 }
@@ -281,13 +241,12 @@ pub fn run_and_report(cfg: &BenchConfig) -> Result<String, String> {
         report.threads_available,
         cfg.out
     );
-    out.push_str("  grid  nodes   precond threads  cold ms  warm ms  cold it  warm it  speedup\n");
+    out.push_str("  grid  nodes threads  cold ms  warm ms  cold it  warm it  speedup\n");
     for c in &report.cases {
         out.push_str(&format!(
-            "  {:>4} {:>6} {:>9} {:>7} {:>8.2} {:>8.2} {:>8} {:>8} {:>7.2}x\n",
+            "  {:>4} {:>6} {:>7} {:>8.2} {:>8.2} {:>8} {:>8} {:>7.2}x\n",
             c.grid,
             c.nodes,
-            c.precond,
             c.threads,
             c.cold_wall_ms,
             c.warm_wall_ms,
@@ -327,8 +286,8 @@ mod tests {
             check: None,
         };
         let report = run_bench(&cfg).unwrap();
-        // 3 grids x (2 multigrid widths + 1 jacobi comparison).
-        assert_eq!(report.cases.len(), 9);
+        // 3 grids x 2 pool widths.
+        assert_eq!(report.cases.len(), 6);
         for c in &report.cases {
             assert!(c.cold_iters > 0);
             assert!(
@@ -337,33 +296,6 @@ mod tests {
                 c.warm_iters
             );
             assert!(c.cold_wall_ms > 0.0);
-            if c.precond == "multigrid" {
-                assert!(
-                    c.cold_iters <= MG_COLD_ITER_CAP,
-                    "grid {}: multigrid cold solve took {} iterations",
-                    c.grid,
-                    c.cold_iters
-                );
-            }
-        }
-        // The multigrid arm must decisively beat Jacobi on every grid.
-        for grid in [8usize, 12, 16] {
-            let mg = report
-                .cases
-                .iter()
-                .find(|c| c.grid == grid && c.precond == "multigrid")
-                .unwrap();
-            let jac = report
-                .cases
-                .iter()
-                .find(|c| c.grid == grid && c.precond == "jacobi")
-                .unwrap();
-            assert!(
-                3 * mg.cold_iters < jac.cold_iters,
-                "grid {grid}: multigrid {} vs jacobi {} cold iterations",
-                mg.cold_iters,
-                jac.cold_iters
-            );
         }
         assert!(report.search.probes > 0);
         assert!(
@@ -379,7 +311,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("baseline.json");
         let mk = |mean: f64| BenchReport {
-            version: 2,
+            version: 3,
             smoke: true,
             threads_available: 1,
             cases: Vec::new(),
@@ -396,45 +328,5 @@ mod tests {
         assert!(check_against_baseline(&mk(110.0), &p).is_ok());
         assert!(check_against_baseline(&mk(121.0), &p).is_err());
         assert!(check_against_baseline(&mk(90.0), &p).is_ok());
-    }
-
-    #[test]
-    fn baseline_check_enforces_mg_iteration_cap() {
-        let dir = std::env::temp_dir().join("watercool_bench_cap_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        let case = |precond: &str, iters: usize| SolveCase {
-            grid: 8,
-            nodes: 1856,
-            precond: precond.to_string(),
-            threads: 1,
-            cold_wall_ms: 1.0,
-            cold_iters: iters,
-            warm_wall_ms: 0.1,
-            warm_iters: 0,
-            speedup_vs_1t: 1.0,
-        };
-        let mk = |cases: Vec<SolveCase>| BenchReport {
-            version: 2,
-            smoke: true,
-            threads_available: 1,
-            cases,
-            mean_cold_iters: 13.0,
-            search: SearchComparison {
-                probes: 1,
-                cold_cg_iterations: 10,
-                warm_cg_iterations: 5,
-                saving_pct: 50.0,
-            },
-        };
-        std::fs::write(&path, serde_json::to_string(&mk(Vec::new())).unwrap()).unwrap();
-        let p = path.display().to_string();
-        // Under the cap is fine; a Jacobi case over the cap is exempt;
-        // a multigrid case over the cap fails hard.
-        assert!(check_against_baseline(&mk(vec![case("multigrid", MG_COLD_ITER_CAP)]), &p).is_ok());
-        assert!(check_against_baseline(&mk(vec![case("jacobi", 130)]), &p).is_ok());
-        let err = check_against_baseline(&mk(vec![case("multigrid", MG_COLD_ITER_CAP + 1)]), &p)
-            .unwrap_err();
-        assert!(err.contains("hard cap"), "unexpected error: {err}");
     }
 }

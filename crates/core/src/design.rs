@@ -3,7 +3,7 @@
 
 use immersion_power::chips::ChipModel;
 use immersion_thermal::stack3d::{CoolingParams, MicrochannelParams, PackageParams, StackBuilder};
-use immersion_thermal::{PrecondChoice, Result, ThermalModel};
+use immersion_thermal::{Result, ThermalModel};
 
 /// One point of the design space: a chip model stacked `chips` high
 /// under a cooling option.
@@ -31,9 +31,6 @@ pub struct CmpDesign {
     pub leakage_feedback: bool,
     /// Override the chip's temperature threshold, °C.
     pub threshold_override: Option<f64>,
-    /// Steady-solve preconditioner ([`PrecondChoice::Auto`] selects
-    /// multigrid; benchmarks pin `Jacobi` for the comparison arm).
-    pub preconditioner: PrecondChoice,
 }
 
 impl CmpDesign {
@@ -51,7 +48,6 @@ impl CmpDesign {
             package: PackageParams::default(),
             leakage_feedback: false,
             threshold_override: None,
-            preconditioner: PrecondChoice::Auto,
         }
     }
 
@@ -103,12 +99,6 @@ impl CmpDesign {
         self
     }
 
-    /// Builder-style: pin the steady-solve preconditioner.
-    pub fn with_preconditioner(mut self, p: PrecondChoice) -> Self {
-        self.preconditioner = p;
-        self
-    }
-
     /// Assemble the thermal model for this design.
     pub fn thermal_model(&self) -> Result<ThermalModel> {
         let mut b = StackBuilder::new(self.chip.floorplan.clone())
@@ -116,8 +106,7 @@ impl CmpDesign {
             .grid(self.grid.0, self.grid.1)
             .flip_even_layers(self.flip)
             .cooling(self.cooling)
-            .package(self.package)
-            .preconditioner(self.preconditioner);
+            .package(self.package);
         if let Some(pat) = &self.rotations {
             b = b.rotations(pat.clone());
         }

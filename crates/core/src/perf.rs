@@ -122,8 +122,8 @@ fn config(design: &CmpDesign, freq_ghz: f64) -> SystemConfig {
 }
 
 /// One simulation per benchmark, in [`Benchmark::all`] order: the only
-/// place the suite runners enter the simulator.
-fn simulate_suite(cfg: &SystemConfig, ops_per_thread: u64, seed: u64) -> Vec<ExecStats> {
+/// place the NPB experiments enter the simulator.
+pub fn simulate_suite(cfg: &SystemConfig, ops_per_thread: u64, seed: u64) -> Vec<ExecStats> {
     Benchmark::all()
         .into_iter()
         .map(|bench| {

@@ -11,7 +11,7 @@
 //! per layer in the vertical direction, like HotSpot's grid model, with
 //! optional vertical subdivision for thick layers such as the heatsink
 //! base). The steady-state system `G·T = q` is symmetric positive
-//! definite and solved by preconditioned CG ([`crate::sparse`]).
+//! definite and solved by Jacobi-preconditioned CG ([`crate::sparse`]).
 //!
 //! Temperatures are in °C. The ambient is not a node: convective ties
 //! are folded into the diagonal and the right-hand side (standard
@@ -19,15 +19,12 @@
 
 use crate::floorplan::{Floorplan, Rect};
 use crate::materials::Material;
-use crate::mg::{MgHierarchy, MgOptions, PrecondChoice};
 use crate::sparse::{solve_cg_with, CgOptions, CsrMatrix, SolverContext, TripletMatrix};
 use crate::steady::Solution;
-use crate::stencil::{GridStructure, StencilMatrix};
 use crate::{Result, ThermalError};
 use immersion_sanitizer::{TrackedMutex, TrackedMutexGuard};
 use immersion_units::{Celsius, HeatTransferCoeff};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Which surface of a layer a boundary condition applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -293,13 +290,6 @@ pub struct ThermalModel {
     /// Tracked by the concurrency sanitizer under the same name the
     /// static R11 lock-order analysis derives for this field.
     solver: TrackedMutex<SolverContext>,
-    /// The 7-point stencil view of `matrix` (present whenever the
-    /// grid-born matrix classifies, which it does by construction);
-    /// shared with every solver context via `Arc`.
-    stencil: Option<Arc<StencilMatrix>>,
-    /// The multigrid hierarchy preconditioning steady solves; `None`
-    /// under [`PrecondChoice::Jacobi`] or when the build declined.
-    mg: Option<Arc<MgHierarchy>>,
 }
 
 /// Incremental builder for a [`ThermalModel`].
@@ -308,7 +298,6 @@ pub struct ModelBuilder {
     convections: Vec<Convection>,
     power_floorplans: Vec<(usize, Floorplan)>,
     cg: CgOptions,
-    precond: PrecondChoice,
 }
 
 impl Default for ModelBuilder {
@@ -325,7 +314,6 @@ impl ModelBuilder {
             convections: Vec::new(),
             power_floorplans: Vec::new(),
             cg: CgOptions::default(),
-            precond: PrecondChoice::default(),
         }
     }
 
@@ -352,13 +340,6 @@ impl ModelBuilder {
     /// Override CG solver options.
     pub fn cg_options(&mut self, o: CgOptions) -> &mut Self {
         self.cg = o;
-        self
-    }
-
-    /// Choose the steady-solve preconditioner (default
-    /// [`PrecondChoice::Auto`]: multigrid when the hierarchy builds).
-    pub fn preconditioner(&mut self, p: PrecondChoice) -> &mut Self {
-        self.precond = p;
         self
     }
 
@@ -494,19 +475,7 @@ impl ModelBuilder {
         }
 
         let matrix = trip.to_csr();
-        let dims: Vec<(usize, usize)> = self.layers.iter().map(|l| (l.nx, l.ny)).collect();
-        let structure = GridStructure::new(&dims);
-        let stencil = StencilMatrix::from_csr(&matrix, &structure).map(Arc::new);
-        let mg = match self.precond {
-            PrecondChoice::Jacobi => None,
-            PrecondChoice::Auto => {
-                MgHierarchy::build(&matrix, MgOptions::default(), stencil.clone())
-            }
-            PrecondChoice::Multigrid(o) => MgHierarchy::build(&matrix, o, stencil.clone()),
-        };
-        let mut ctx = SolverContext::new(&matrix);
-        ctx.attach_fast_paths(mg.clone(), stencil.clone());
-        let solver = TrackedMutex::new("thermal::ThermalModel.solver", ctx);
+        let solver = TrackedMutex::new("thermal::ThermalModel.solver", SolverContext::new(&matrix));
         Ok(ThermalModel {
             layers: self.layers,
             offsets,
@@ -517,8 +486,6 @@ impl ModelBuilder {
             capacities,
             cg: self.cg,
             solver,
-            stencil,
-            mg,
         })
     }
 }
@@ -596,28 +563,6 @@ impl ThermalModel {
     /// The convective ties `(node, conductance, ambient)`.
     pub fn conv_ties(&self) -> &[(usize, f64, f64)] {
         &self.conv_ties
-    }
-
-    /// The 7-point stencil view of the conductance matrix, when the
-    /// grid discretization classified (it does for every model this
-    /// builder produces).
-    pub fn stencil(&self) -> Option<&StencilMatrix> {
-        self.stencil.as_deref()
-    }
-
-    /// The multigrid hierarchy preconditioning steady solves, if armed.
-    pub fn multigrid(&self) -> Option<&MgHierarchy> {
-        self.mg.as_deref()
-    }
-
-    /// `"multigrid"` or `"jacobi"` — which preconditioner steady
-    /// solves on this model actually use.
-    pub fn preconditioner_name(&self) -> &'static str {
-        if self.mg.is_some() {
-            "multigrid"
-        } else {
-            "jacobi"
-        }
     }
 
     /// Build the right-hand side `q` for a power assignment.
@@ -736,12 +681,7 @@ impl ThermalModel {
             "thermal::ThermalModel.solver",
             immersion_sanitizer::obj_id(self),
         );
-        let mut ctx = std::mem::take(&mut *slot);
-        // A default context (concurrent take) has no fast paths; re-arm
-        // it so every solve — not just the cached-context one — runs
-        // the multigrid/stencil route.
-        ctx.attach_fast_paths(self.mg.clone(), self.stencil.clone());
-        ctx
+        std::mem::take(&mut *slot)
     }
 
     /// Return the context after a solve. If another solve slipped in

@@ -19,12 +19,11 @@
 //!   per-coolant heat-transfer coefficient `h` — air 14, mineral oil 160,
 //!   fluorinert 180, water 800 W/(m²K) — and effective-area multipliers for
 //!   finned sinks.
-//! * **Solvers** ([`sparse`], [`mg`], [`stencil`], [`steady`],
-//!   [`transient`]): a conjugate-gradient solve of the symmetric
+//! * **Solvers** ([`sparse`], [`steady`], [`transient`]): a
+//!   Jacobi-preconditioned conjugate-gradient solve of the symmetric
 //!   positive-definite conductance system for steady state (the paper's
-//!   worst-case analysis), preconditioned by an aggregation-multigrid
-//!   V-cycle (Jacobi fallback), with a 7-point stencil fast path for
-//!   grid-born matvecs, and a backward-Euler integrator for transients.
+//!   worst-case analysis), with CSR matvecs, and a backward-Euler
+//!   integrator for transients.
 //! * **Stack builder** ([`stack3d`]): assembles the whole N-chip 3-D CMP
 //!   thermal model for a given cooling configuration, including the
 //!   dual-path topology (primary path through the sink, secondary path
@@ -68,12 +67,10 @@ pub mod mg;
 pub mod sparse;
 pub mod stack3d;
 pub mod steady;
-pub mod stencil;
 pub mod transient;
 
 pub use floorplan::{Floorplan, Rect};
 pub use grid::{LayerSpec, ThermalModel};
-pub use mg::{MgOptions, PrecondChoice};
 pub use stack3d::{CoolingParams, StackBuilder};
 pub use steady::Solution;
 

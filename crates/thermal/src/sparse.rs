@@ -9,11 +9,8 @@
 //! only matrix-vector products, which we parallelise with rayon per the
 //! hpc-parallel guides.
 
-use crate::mg::{MgHierarchy, MgScratch};
-use crate::stencil::StencilMatrix;
 use crate::{Result, ThermalError};
 use rayon::prelude::*;
-use std::sync::Arc;
 
 /// A triplet-form builder for assembling a sparse matrix.
 #[derive(Debug, Default, Clone)]
@@ -204,7 +201,9 @@ impl Default for CgOptions {
 /// Reusable per-matrix solver state: the Jacobi inverse diagonal, the
 /// four CG scratch vectors, and the last converged solution.
 ///
-/// A context is keyed to one matrix (checked cheaply by `(dim, nnz)`):
+/// Jacobi is the only preconditioner and CSR [`CsrMatrix::mul_vec`] the
+/// only matvec, so a context carries nothing else. It is keyed to one
+/// matrix (checked cheaply by `(dim, nnz)`):
 /// [`ThermalModel`](crate::grid::ThermalModel) caches one per model so
 /// repeated solves reuse the scratch allocations and warm-start from
 /// the previous operating point instead of the ambient guess. The only
@@ -222,16 +221,6 @@ pub struct SolverContext {
     last_solution: Option<Vec<f64>>,
     solves: usize,
     total_iterations: usize,
-    /// Multigrid preconditioner armed for this matrix (shared with the
-    /// owning model); used only when its key matches the solve matrix,
-    /// so a stale or default context degrades gracefully to Jacobi.
-    mg: Option<Arc<MgHierarchy>>,
-    /// 7-point stencil fast path for grid-born matvecs (bitwise equal
-    /// to the CSR product, so selection does not perturb results).
-    stencil: Option<Arc<StencilMatrix>>,
-    mg_scratch: MgScratch,
-    /// Fixed-chunk partial sums for [`dot_stable`].
-    partials: Vec<f64>,
 }
 
 impl SolverContext {
@@ -262,36 +251,6 @@ impl SolverContext {
         self.p = vec![0.0; n];
         self.ap = vec![0.0; n];
         self.last_solution = None;
-        // Fast paths armed for a different matrix are useless now, but
-        // keep any that already match `a` — a freshly taken default
-        // context is armed *before* its first prepare, and dropping the
-        // hierarchy here would silently fall back to Jacobi.
-        if self.mg.as_ref().is_some_and(|m| m.key() != key) {
-            self.mg = None;
-        }
-        if self.stencil.as_ref().is_some_and(|s| s.key() != key) {
-            self.stencil = None;
-        }
-    }
-
-    /// Arm the context with the matrix-specific fast paths: a multigrid
-    /// hierarchy to precondition with and/or a stencil matvec. Both are
-    /// cheap `Arc` clones shared with the owning model, and both are
-    /// ignored (falling back to Jacobi + CSR) whenever their key does
-    /// not match the matrix being solved — e.g. on the default context
-    /// a concurrent [`take`](crate::grid::ThermalModel) handed out.
-    pub fn attach_fast_paths(
-        &mut self,
-        mg: Option<Arc<MgHierarchy>>,
-        stencil: Option<Arc<StencilMatrix>>,
-    ) {
-        self.mg = mg;
-        self.stencil = stencil;
-    }
-
-    /// The armed multigrid hierarchy, if any.
-    pub fn multigrid(&self) -> Option<&MgHierarchy> {
-        self.mg.as_deref()
     }
 
     /// The last converged solution, if any — the warm-start guess for
@@ -360,14 +319,6 @@ pub fn solve_cg_with(
     assert_eq!(x0.len(), n);
     ctx.prepare(a);
 
-    // An armed multigrid hierarchy (key-matched to this matrix) routes
-    // to the MG-preconditioned loop; anything else stays on Jacobi.
-    let key = (a.dim(), a.nnz());
-    if let Some(mg) = ctx.mg.clone().filter(|m| m.key() == key) {
-        let stencil = ctx.stencil.clone().filter(|s| s.key() == key);
-        return solve_cg_mg(a, &mg, stencil.as_deref(), b, x0, opts, ctx);
-    }
-
     let bnorm = l2(b);
     if bnorm <= 0.0 {
         let x = vec![0.0; n];
@@ -418,105 +369,6 @@ pub fn solve_cg_with(
     let rel = rr.sqrt() / bnorm;
     if rel <= opts.tolerance * 10.0 {
         // Close enough for reporting purposes; accept with the cap hit.
-        ctx.remember(&x, opts.max_iterations);
-        Ok((x, opts.max_iterations))
-    } else {
-        Err(ThermalError::SolverDiverged {
-            iterations: opts.max_iterations,
-            residual: rel,
-        })
-    }
-}
-
-/// The MG-preconditioned CG loop. Same convergence semantics as the
-/// Jacobi path (relative tolerance against ‖b‖, `pap ≤ 0` fails as
-/// diverged, the iteration cap accepts within 10× tolerance), but every
-/// reduction goes through [`dot_stable`] and every vector update is
-/// elementwise, so — together with the width-invariant V-cycle — a cold
-/// MG solve is **bitwise identical across rayon pool widths**, which
-/// the Jacobi path's width-chunked reductions are not.
-fn solve_cg_mg(
-    a: &CsrMatrix,
-    mg: &MgHierarchy,
-    stencil: Option<&StencilMatrix>,
-    b: &[f64],
-    x0: &[f64],
-    opts: CgOptions,
-    ctx: &mut SolverContext,
-) -> Result<(Vec<f64>, usize)> {
-    let matvec = |v: &[f64], out: &mut [f64]| match stencil {
-        Some(st) => st.mul_vec(v, out),
-        None => a.mul_vec(v, out),
-    };
-    let SolverContext {
-        r,
-        z,
-        p,
-        ap,
-        mg_scratch,
-        partials,
-        ..
-    } = &mut *ctx;
-
-    let bnorm = dot_stable(b, b, partials).sqrt();
-    if bnorm <= 0.0 {
-        let x = vec![0.0; a.dim()];
-        ctx.remember(&x, 0);
-        return Ok((x, 0));
-    }
-
-    let mut x = x0.to_vec();
-    matvec(&x, r);
-    r.par_iter_mut()
-        .zip(b.par_iter())
-        .for_each(|(ri, &bi)| *ri = bi - *ri);
-    let mut rr = dot_stable(r, r, partials);
-    if rr.sqrt() <= opts.tolerance * bnorm {
-        ctx.remember(&x, 0);
-        return Ok((x, 0));
-    }
-
-    mg.apply(r, z, mg_scratch);
-    let mut rz = dot_stable(r, z, partials);
-    p.copy_from_slice(z);
-
-    for it in 1..=opts.max_iterations {
-        matvec(p, ap);
-        let pap = dot_stable(p, ap, partials);
-        if pap <= 0.0 {
-            return Err(ThermalError::SolverDiverged {
-                iterations: it - 1,
-                residual: rr.sqrt() / bnorm,
-            });
-        }
-        let alpha = rz / pap;
-        x.par_iter_mut()
-            .zip(r.par_iter_mut())
-            .zip(p.par_iter())
-            .zip(ap.par_iter())
-            .for_each(|(((xi, ri), &pi), &api)| {
-                *xi += alpha * pi;
-                *ri -= alpha * api;
-            });
-        rr = dot_stable(r, r, partials);
-        if rr.sqrt() <= opts.tolerance * bnorm {
-            ctx.remember(&x, it);
-            return Ok((x, it));
-        }
-        if it == opts.max_iterations {
-            break;
-        }
-        mg.apply(r, z, mg_scratch);
-        let rz_new = dot_stable(r, z, partials);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        p.par_iter_mut()
-            .zip(z.par_iter())
-            .for_each(|(pi, &zi)| *pi = zi + beta * *pi);
-    }
-
-    let rel = rr.sqrt() / bnorm;
-    if rel <= opts.tolerance * 10.0 {
         ctx.remember(&x, opts.max_iterations);
         Ok((x, opts.max_iterations))
     } else {
@@ -638,35 +490,6 @@ pub fn dot_seq(a: &[f64], b: &[f64]) -> f64 {
 
 fn l2(v: &[f64]) -> f64 {
     dot(v, v).sqrt()
-}
-
-/// Chunk width for [`dot_stable`]: fixed, so the partial-sum pattern —
-/// and hence the floating-point result — does not depend on how many
-/// rayon workers execute the chunks.
-const STABLE_CHUNK: usize = 1024;
-
-/// Dot product that is **bitwise deterministic across thread pool
-/// widths**: the vectors are cut into fixed [`STABLE_CHUNK`]-element
-/// chunks, each chunk is summed sequentially into its own slot of
-/// `partials` (any worker may compute any chunk — the result is the
-/// same), and the per-chunk sums are combined sequentially in chunk
-/// order. [`dot`] is cheaper but splits at width-dependent boundaries;
-/// the MG solve path pays the small fixed cost for reproducibility.
-pub fn dot_stable(a: &[f64], b: &[f64], partials: &mut Vec<f64>) -> f64 {
-    assert_eq!(a.len(), b.len());
-    let n_chunks = a.len().div_ceil(STABLE_CHUNK).max(1);
-    partials.clear();
-    partials.resize(n_chunks, 0.0);
-    partials.par_iter_mut().enumerate().for_each(|(c, out)| {
-        let lo = c * STABLE_CHUNK;
-        let hi = ((c + 1) * STABLE_CHUNK).min(a.len());
-        let mut acc = 0.0;
-        for i in lo..hi {
-            acc += a[i] * b[i];
-        }
-        *out = acc;
-    });
-    partials.iter().sum()
 }
 
 #[cfg(test)]

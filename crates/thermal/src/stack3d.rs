@@ -21,7 +21,6 @@
 use crate::floorplan::{Floorplan, Rect};
 use crate::grid::{Convection, LayerPattern, LayerSpec, ModelBuilder, Surface, ThermalModel};
 use crate::materials;
-use crate::mg::PrecondChoice;
 use crate::sparse::CgOptions;
 use crate::{Result, ThermalError};
 use immersion_units::{Celsius, HeatTransferCoeff};
@@ -272,7 +271,6 @@ pub struct StackBuilder {
     cooling: CoolingParams,
     package: PackageParams,
     cg: CgOptions,
-    precond: PrecondChoice,
 }
 
 /// Indices of the interesting layers of a built stack.
@@ -301,7 +299,6 @@ impl StackBuilder {
             cooling: CoolingParams::air(),
             package: PackageParams::default(),
             cg: CgOptions::default(),
-            precond: PrecondChoice::default(),
         }
     }
 
@@ -362,13 +359,6 @@ impl StackBuilder {
         self
     }
 
-    /// Choose the steady-solve preconditioner (default
-    /// [`PrecondChoice::Auto`]).
-    pub fn preconditioner(mut self, p: PrecondChoice) -> Self {
-        self.precond = p;
-        self
-    }
-
     /// Assemble the thermal model.
     pub fn build(self) -> Result<ThermalModel> {
         Ok(self.build_with_layout()?.0)
@@ -392,7 +382,6 @@ impl StackBuilder {
 
         let mut mb = ModelBuilder::new();
         mb.cg_options(self.cg);
-        mb.preconditioner(self.precond);
 
         // Board and package substrate.
         let board = mb.add_layer(LayerSpec::new(

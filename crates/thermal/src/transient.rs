@@ -11,13 +11,18 @@
 
 use crate::grid::{PowerAssignment, ThermalModel};
 use crate::sparse::{solve_cg, CgOptions, CsrMatrix, TripletMatrix};
-use crate::Result;
+use crate::{Result, ThermalError};
 
 /// A transient integrator bound to one model and one step size.
+///
+/// Construction never fails: a non-positive or non-finite step, or an
+/// initial field of the wrong length, is recorded and every
+/// [`step`](TransientSolver::step) then returns
+/// [`ThermalError::BadParameter`].
 pub struct TransientSolver<'m> {
     model: &'m ThermalModel,
-    /// `C/Δt + G`.
-    system: CsrMatrix,
+    /// `C/Δt + G`, or why the parameters were rejected.
+    system: Result<CsrMatrix>,
     /// `C/Δt` per node.
     c_over_dt: Vec<f64>,
     dt: f64,
@@ -37,26 +42,39 @@ impl<'m> TransientSolver<'m> {
     /// (e.g. a previous steady state).
     pub fn with_initial(model: &'m ThermalModel, dt_secs: f64, initial: Vec<f64>) -> Self {
         let dt = dt_secs;
-        assert!(dt > 0.0, "time step must be positive");
-        assert_eq!(initial.len(), model.n_nodes());
         let n = model.n_nodes();
+        let problem = if !dt.is_finite() || dt <= 0.0 {
+            Some(format!("time step must be positive and finite, got {dt}"))
+        } else if initial.len() != n {
+            Some(format!(
+                "initial field has {} nodes, model has {n}",
+                initial.len()
+            ))
+        } else {
+            None
+        };
         let c_over_dt: Vec<f64> = model.capacities().iter().map(|&c| c / dt).collect();
-        // system = G + diag(C/dt). Rebuild via triplets on top of G's entries.
-        let g = model.matrix();
-        let mut trip = TripletMatrix::new(n);
-        for (i, &c) in c_over_dt.iter().enumerate() {
-            trip.add(i, i, c);
-        }
-        // Copy G by probing rows (CSR exposes get; cheaper: use mul on unit
-        // vectors would be O(n^2) — instead re-add via raw iteration).
-        for i in 0..n {
-            for (j, v) in g.row(i) {
-                trip.add(i, j, v);
+        let system = match problem {
+            Some(msg) => Err(ThermalError::BadParameter(msg)),
+            None => {
+                // system = G + diag(C/dt): G's rows re-added on top of the
+                // capacity diagonal.
+                let g = model.matrix();
+                let mut trip = TripletMatrix::new(n);
+                for (i, &c) in c_over_dt.iter().enumerate() {
+                    trip.add(i, i, c);
+                }
+                for i in 0..n {
+                    for (j, v) in g.row(i) {
+                        trip.add(i, j, v);
+                    }
+                }
+                Ok(trip.to_csr())
             }
-        }
+        };
         TransientSolver {
             model,
-            system: trip.to_csr(),
+            system,
             c_over_dt,
             dt,
             temps: initial,
@@ -87,11 +105,12 @@ impl<'m> TransientSolver<'m> {
 
     /// Advance one step under the given power assignment.
     pub fn step(&mut self, power: &PowerAssignment) -> Result<()> {
+        let system = self.system.as_ref().map_err(Clone::clone)?;
         let mut rhs = self.model.rhs(power)?;
         for ((r, &c), &t) in rhs.iter_mut().zip(&self.c_over_dt).zip(&self.temps) {
             *r += c * t;
         }
-        let (t, _) = solve_cg(&self.system, &rhs, &self.temps, self.cg)?;
+        let (t, _) = solve_cg(system, &rhs, &self.temps, self.cg)?;
         self.temps = t;
         self.time += self.dt;
         Ok(())
@@ -183,6 +202,35 @@ mod tests {
         ts.step(&p).unwrap();
         assert!((ts.time() - 0.02).abs() < 1e-12);
         assert_eq!(ts.dt(), 0.01);
+    }
+
+    #[test]
+    fn bad_time_steps_are_errors_not_panics() {
+        let m = slab();
+        let p = m.zero_power();
+        for dt in [0.0, -1.0, f64::NAN] {
+            let mut ts = TransientSolver::new(&m, dt);
+            assert!(
+                matches!(ts.step(&p), Err(ThermalError::BadParameter(_))),
+                "dt = {dt} must be rejected"
+            );
+            assert!(matches!(ts.run(&p, 3), Err(ThermalError::BadParameter(_))));
+            assert_eq!(ts.time(), 0.0, "a rejected step does not advance time");
+        }
+    }
+
+    #[test]
+    fn short_initial_field_is_an_error_not_a_panic() {
+        let m = slab();
+        let p = m.zero_power();
+        let short = vec![25.0; m.n_nodes() - 1];
+        let mut ts = TransientSolver::with_initial(&m, 0.5, short);
+        let err = ts.step(&p).unwrap_err();
+        assert!(
+            matches!(&err, ThermalError::BadParameter(msg) if msg.contains("initial field")),
+            "{err}"
+        );
+        assert!(ts.run(&p, 2).is_err());
     }
 
     #[test]

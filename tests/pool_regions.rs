@@ -1,4 +1,5 @@
-//! Regression test for the fork-join pool's region lifetime.
+//! Regression tests for the fork-join pool: region lifetime, and pool
+//! shutdown.
 //!
 //! A region lives on its opener's stack. The opener may return as soon
 //! as it sees every chunk done and no helper left, so a helper must not
@@ -82,4 +83,27 @@ fn nested_regions_from_two_threads_outlive_their_helpers() {
     for opener in openers {
         opener.join().expect("an opener panicked");
     }
+}
+
+/// Dropping a pool must wake every idle worker. The shutdown flag and
+/// its notification once could both land between a worker's flag check
+/// and its wait, leaving that worker asleep and the drop's join hung.
+/// Each short-lived pool below opens that window once per worker.
+#[test]
+fn dropping_pools_never_strands_a_worker() {
+    const POOLS: usize = 3_000;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        for _ in 0..POOLS {
+            let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+            let sum: u64 = pool.install(|| (0..64u64).into_par_iter().with_min_len(1).sum());
+            assert_eq!(sum, 64 * 63 / 2);
+        }
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(60)).is_ok(),
+        "a pool drop hung joining its workers"
+    );
+    dropper.join().expect("the dropping thread panicked");
 }
