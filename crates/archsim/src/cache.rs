@@ -8,10 +8,11 @@
 //!
 //! A valid way stores its line address with bit 0 set (lines are at
 //! least 2-byte aligned, so that bit is otherwise always clear); a
-//! stored tag of 0 means invalid. A fresh array is therefore all zeros,
-//! which the allocator hands out without construction touching a page:
-//! the 96 L2 banks of an 8-chip system are ~38 MB of tags that a short
-//! simulation mostly never reads.
+//! stored tag of 0 means invalid. A set's block of ways is allocated
+//! the first time the set is filled, so a fresh array holds only one
+//! `u32` slot per set: an L2 bank costs 8 KB up front instead of the
+//! ~272 KB of its full tag, LRU and metadata arrays, which a short
+//! simulation mostly never touches.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,6 +35,9 @@ const VALID: u64 = 1;
 #[derive(Debug, Clone)]
 pub struct CacheArray<M: Copy + Default> {
     sets: usize,
+    /// Per set: 0 while the set was never filled, else 1 + the index of
+    /// its block of `assoc` ways in `tags`, `lru` and `meta`.
+    slot: Vec<u32>,
     /// Per way: `line | VALID`, or 0 when the way is invalid.
     tags: Vec<u64>,
     /// Per way: the clock value of its last fill or hit.
@@ -59,12 +63,12 @@ impl<M: Copy + Default> CacheArray<M> {
         let lines = size_kib * 1024 / line_bytes;
         assert!(lines as usize >= assoc && assoc >= 1);
         let sets = (lines as usize / assoc).next_power_of_two();
-        let n = sets * assoc;
         CacheArray {
             sets,
-            tags: vec![0; n],
-            lru: vec![0; n],
-            meta: vec![M::default(); n],
+            slot: vec![0; sets],
+            tags: Vec::new(),
+            lru: Vec::new(),
+            meta: Vec::new(),
             assoc,
             line_shift: line_bytes.trailing_zeros(),
             clock: 0,
@@ -79,19 +83,24 @@ impl<M: Copy + Default> CacheArray<M> {
         addr >> self.line_shift << self.line_shift
     }
 
-    /// The first way index of `addr`'s set and the tag a valid copy of
-    /// its line stores.
+    /// The index of `addr`'s set, the set's first way if the set was
+    /// ever filled, and the tag a valid copy of `addr`'s line stores.
     #[inline]
-    fn locate(&self, addr: u64) -> (usize, u64) {
+    fn locate(&self, addr: u64) -> (usize, Option<usize>, u64) {
         let line = self.line_of(addr);
         let set = ((line >> self.line_shift) as usize) & (self.sets - 1);
-        (set * self.assoc, line | VALID)
+        let base = match self.slot[set] {
+            0 => None,
+            s => Some((s - 1) as usize * self.assoc),
+        };
+        (set, base, line | VALID)
     }
 
     /// The way holding `addr`'s line, if resident.
     #[inline]
     fn find(&self, addr: u64) -> Option<usize> {
-        let (base, tag) = self.locate(addr);
+        let (_, base, tag) = self.locate(addr);
+        let base = base?;
         self.tags[base..base + self.assoc]
             .iter()
             .position(|&t| t == tag)
@@ -115,8 +124,20 @@ impl<M: Copy + Default> CacheArray<M> {
         }
         self.misses += 1;
         // Fill: the first invalid way, else the first least-recently
-        // used one.
-        let (base, tag) = self.locate(addr);
+        // used one. A set filled for the first time gets its block of
+        // (all invalid) ways now.
+        let (set, base, tag) = self.locate(addr);
+        let base = match base {
+            Some(base) => base,
+            None => {
+                let base = self.tags.len();
+                self.slot[set] = (base / self.assoc + 1) as u32;
+                self.tags.resize(base + self.assoc, 0);
+                self.lru.resize(base + self.assoc, 0);
+                self.meta.resize(base + self.assoc, M::default());
+                base
+            }
+        };
         let ways = base..base + self.assoc;
         let victim = ways
             .clone()
@@ -349,23 +370,31 @@ mod tests {
         /// Random operation sequences give the same results, victims,
         /// probes and counters as the reference. Addresses cover 12
         /// lines per set over 2 sets of a 4-way, 8-set, 64 B-line array
-        /// (so sets overflow and evict), plus address 0.
+        /// (so sets overflow and evict), plus address 0. Ways exist
+        /// only for sets an access has filled: none in a fresh array.
         #[test]
         fn matches_the_array_of_ways_reference(
             ops in proptest::collection::vec((0u8..5, 0u64..12, 0u64..2, 0u64..64, 0u8..255), 1..400)
         ) {
             let mut c: CacheArray<u8> = CacheArray::new(2, 4, 64);
             let mut r = Reference::new(2, 4, 64);
+            prop_assert!(c.tags.is_empty() && c.lru.is_empty() && c.meta.is_empty());
+            let mut filled = std::collections::BTreeSet::new();
             for &(kind, tag, set, offset, meta) in &ops {
                 // Set stride: 8 sets × 64 B.
                 let addr = if meta % 16 == 0 { 0 } else { tag * 512 + set * 64 + offset };
                 match kind {
-                    0 | 1 => prop_assert_eq!(c.access(addr, meta), r.access(addr, meta)),
+                    0 | 1 => {
+                        filled.insert(addr / 64 % 8);
+                        prop_assert_eq!(c.access(addr, meta), r.access(addr, meta))
+                    }
                     2 => prop_assert_eq!(c.probe(addr), r.probe(addr)),
                     3 => prop_assert_eq!(c.update_meta(addr, meta), r.update_meta(addr, meta)),
                     _ => prop_assert_eq!(c.invalidate(addr), r.invalidate(addr)),
                 }
                 prop_assert_eq!((c.hits(), c.misses()), (r.hits, r.misses));
+                let ways = 4 * filled.len();
+                prop_assert_eq!((c.tags.len(), c.lru.len(), c.meta.len()), (ways, ways, ways));
             }
             for tag in 0..12 {
                 for set in 0..2 {

@@ -85,14 +85,33 @@ impl DirEntry {
         self.sharers & (1 << core) != 0
     }
 
-    /// Iterate over sharer core ids.
-    pub fn sharer_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..64).filter(|&c| self.sharers & (1 << c) != 0)
+    /// Iterate over sharer core ids, in ascending order.
+    pub fn sharer_ids(&self) -> CoreIds {
+        CoreIds(self.sharers)
     }
 
     /// Number of sharers.
     pub fn sharer_count(&self) -> u32 {
         self.sharers.count_ones()
+    }
+}
+
+/// The core ids whose bits are set in a sharer bitmask, in ascending
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoreIds(pub u64);
+
+impl Iterator for CoreIds {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        if self.0 == 0 {
+            return None;
+        }
+        let id = self.0.trailing_zeros();
+        self.0 &= self.0 - 1;
+        Some(id)
     }
 }
 
@@ -207,6 +226,11 @@ mod tests {
         assert!(d.is_sharer(3) && d.is_sharer(17) && !d.is_sharer(4));
         assert_eq!(d.sharer_count(), 2);
         assert_eq!(d.sharer_ids().collect::<Vec<_>>(), vec![3, 17]);
+        d.add_sharer(63);
+        d.add_sharer(0);
+        assert_eq!(d.sharer_ids().collect::<Vec<_>>(), vec![0, 3, 17, 63]);
+        d.remove_sharer(0);
+        d.remove_sharer(63);
         d.remove_sharer(3);
         assert!(!d.is_sharer(3));
         assert!(!d.is_idle());

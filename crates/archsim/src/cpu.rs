@@ -9,9 +9,9 @@
 
 use crate::cache::CacheArray;
 use crate::coherence::L1State;
+use crate::linemap::{LineMap, LineSet};
 use crate::noc::Node;
 use immersion_desim::Time;
-use std::collections::HashMap;
 
 /// What a core is doing right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,9 +79,9 @@ pub struct Core {
     pub pending: Option<Pending>,
     /// Evicted-dirty (or exclusive) lines awaiting the home's WbAck;
     /// forwards are answered from here during the window.
-    pub wb_buffer: HashMap<u64, L1State>,
+    pub wb_buffer: LineMap<L1State>,
     /// Prefetch requests in flight (next-line prefetcher).
-    pub prefetch_inflight: std::collections::HashSet<u64>,
+    pub prefetch_inflight: LineSet,
     /// When the core arrived at the current barrier.
     pub barrier_arrived: Time,
     /// Counters.
@@ -97,8 +97,8 @@ impl Core {
             l1d: CacheArray::new(l1d_kib, assoc, line_bytes),
             state: CoreState::Running,
             pending: None,
-            wb_buffer: HashMap::new(),
-            prefetch_inflight: std::collections::HashSet::new(),
+            wb_buffer: LineMap::default(),
+            prefetch_inflight: LineSet::default(),
             barrier_arrived: Time::ZERO,
             stats: CoreStats::default(),
         }

@@ -32,6 +32,14 @@
 //! Instruction fetch is assumed to hit in the 32 KiB L1I (the NPB
 //! kernels are small loops).
 //!
+//! L2 set indices alias with the bank interleave. A line's home bank is
+//! `(line / 64) % banks` and its set within the bank is taken from the
+//! same low bits of the line index, so one bank reaches only
+//! `2048 / gcd(banks, 2048)` of its 2,048 sets: 512 at 1 chip, 256 at 2
+//! or 6 chips, and 64 at 8 chips, which is 1/32 of Table 1's L2. Large
+//! working sets therefore miss in L2 sooner than the modelled capacity
+//! implies.
+//!
 //! ## Example
 //!
 //! ```
@@ -49,6 +57,7 @@ pub mod cache;
 pub mod coherence;
 pub mod config;
 pub mod cpu;
+pub mod linemap;
 pub mod noc;
 pub mod system;
 

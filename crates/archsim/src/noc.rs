@@ -94,12 +94,6 @@ impl Mesh {
         }
     }
 
-    #[inline]
-    fn link_index(&self, node: Node, dir: usize, class: MsgClass) -> usize {
-        let n = node.chip as usize * self.cfg.tiles_per_chip() + node.tile as usize;
-        (n * N_DIRS + dir) * N_CLASSES + class as usize
-    }
-
     /// Coordinates of a tile.
     #[inline]
     fn coords(&self, tile: u16) -> (usize, usize) {
@@ -119,6 +113,9 @@ impl Mesh {
     /// Route a packet of `flits` flits from `src` to `dst` on `class`,
     /// departing at `now`. Returns the arrival time of the packet tail
     /// at the destination, after contention.
+    ///
+    /// The dimension-order route is walked as three straight runs (X,
+    /// then Y, then Z) over global node indices, so no hop divides.
     pub fn route(&mut self, src: Node, dst: Node, class: MsgClass, flits: u64, now: Time) -> Time {
         self.stats.packets += 1;
         let pipeline = self.clock.cycles(self.cfg.router_stages);
@@ -129,60 +126,53 @@ impl Mesh {
             return now + pipeline;
         }
 
-        let mut t = now;
-        let mut cur = src;
-        loop {
-            // Dimension-order next hop: X, then Y, then Z.
-            let (cx, cy) = self.coords(cur.tile);
-            let (dx, dy) = self.coords(dst.tile);
-            let (dir, next) = if cx != dx {
-                if cx < dx {
-                    (DIR_E, Node::new(cur.chip as usize, cur.tile as usize + 1))
-                } else {
-                    (DIR_W, Node::new(cur.chip as usize, cur.tile as usize - 1))
-                }
-            } else if cy != dy {
-                if cy < dy {
-                    (
-                        DIR_N,
-                        Node::new(cur.chip as usize, cur.tile as usize + self.cfg.mesh_x),
-                    )
-                } else {
-                    (
-                        DIR_S,
-                        Node::new(cur.chip as usize, cur.tile as usize - self.cfg.mesh_x),
-                    )
-                }
-            } else if cur.chip != dst.chip {
-                if cur.chip < dst.chip {
-                    (DIR_UP, Node::new(cur.chip as usize + 1, cur.tile as usize))
-                } else {
-                    (
-                        DIR_DOWN,
-                        Node::new(cur.chip as usize - 1, cur.tile as usize),
-                    )
-                }
+        let (sx, sy) = self.coords(src.tile);
+        let (dx, dy) = self.coords(dst.tile);
+        let tiles = self.cfg.tiles_per_chip();
+        let (sz, dz) = (src.chip as usize, dst.chip as usize);
+        let vertical = pipeline + self.clock.cycles(self.cfg.vertical_hop_cycles);
+        // (hops, output direction, node-index step) of each run; a step
+        // towards lower indices is the wrapped negative of its size.
+        let runs = [
+            if sx < dx {
+                (dx - sx, DIR_E, 1)
             } else {
-                break;
-            };
+                (sx - dx, DIR_W, 1_usize.wrapping_neg())
+            },
+            if sy < dy {
+                (dy - sy, DIR_N, self.cfg.mesh_x)
+            } else {
+                (sy - dy, DIR_S, self.cfg.mesh_x.wrapping_neg())
+            },
+            if sz < dz {
+                (dz - sz, DIR_UP, tiles)
+            } else {
+                (sz - dz, DIR_DOWN, tiles.wrapping_neg())
+            },
+        ];
 
-            let li = self.link_index(cur, dir, class);
-            let free_at = self.next_free[li];
-            let start = if free_at > t { free_at } else { t };
-            self.stats.contention_ps += start.saturating_sub(t).as_ps();
-            // Router pipeline, then the link is held for the packet's
-            // flits (wormhole serialisation).
-            let mut depart = start + pipeline;
-            if dir == DIR_UP || dir == DIR_DOWN {
-                depart += self.clock.cycles(self.cfg.vertical_hop_cycles);
-                self.stats.vertical_hops += 1;
+        let mut t = now;
+        let mut node = sz * tiles + src.tile as usize;
+        for (hops, dir, step) in runs {
+            let delay = if dir >= DIR_UP { vertical } else { pipeline };
+            for _ in 0..hops {
+                let li = (node * N_DIRS + dir) * N_CLASSES + class as usize;
+                let free_at = self.next_free[li];
+                let start = if free_at > t { free_at } else { t };
+                self.stats.contention_ps += start.saturating_sub(t).as_ps();
+                // Router pipeline (plus the vertical link's extra
+                // cycles), then the link is held for the packet's flits
+                // (wormhole serialisation).
+                let tail = start + delay + serialise;
+                self.next_free[li] = tail;
+                t = tail;
+                node = node.wrapping_add(step);
             }
-            let tail = depart + serialise;
-            self.next_free[li] = tail;
-            self.stats.hops += 1;
-            self.stats.flit_hops += flits;
-            t = tail;
-            cur = next;
+            self.stats.hops += hops as u64;
+            self.stats.flit_hops += hops as u64 * flits;
+            if dir >= DIR_UP {
+                self.stats.vertical_hops += hops as u64;
+            }
         }
         t
     }
@@ -204,6 +194,105 @@ mod tests {
 
     fn mesh(chips: usize, ghz: f64) -> Mesh {
         Mesh::new(SystemConfig::baseline(chips, ghz))
+    }
+
+    /// The original hop-by-hop walk of [`Mesh::route`], which recomputes
+    /// both endpoints' coordinates at every hop: the reference the
+    /// division-free walk must match link for link.
+    fn route_reference(
+        m: &mut Mesh,
+        src: Node,
+        dst: Node,
+        class: MsgClass,
+        flits: u64,
+        now: Time,
+    ) -> Time {
+        let link_index = |m: &Mesh, node: Node, dir: usize| {
+            let n = node.chip as usize * m.cfg.tiles_per_chip() + node.tile as usize;
+            (n * N_DIRS + dir) * N_CLASSES + class as usize
+        };
+        m.stats.packets += 1;
+        let pipeline = m.clock.cycles(m.cfg.router_stages);
+        let serialise = m.clock.cycles(flits);
+        if src == dst {
+            return now + pipeline;
+        }
+        let mut t = now;
+        let mut cur = src;
+        loop {
+            let (cx, cy) = m.coords(cur.tile);
+            let (dx, dy) = m.coords(dst.tile);
+            let (chip, tile) = (cur.chip as usize, cur.tile as usize);
+            let (dir, next) = if cx != dx {
+                if cx < dx {
+                    (DIR_E, Node::new(chip, tile + 1))
+                } else {
+                    (DIR_W, Node::new(chip, tile - 1))
+                }
+            } else if cy != dy {
+                if cy < dy {
+                    (DIR_N, Node::new(chip, tile + m.cfg.mesh_x))
+                } else {
+                    (DIR_S, Node::new(chip, tile - m.cfg.mesh_x))
+                }
+            } else if cur.chip != dst.chip {
+                if cur.chip < dst.chip {
+                    (DIR_UP, Node::new(chip + 1, tile))
+                } else {
+                    (DIR_DOWN, Node::new(chip - 1, tile))
+                }
+            } else {
+                break;
+            };
+            let li = link_index(m, cur, dir);
+            let free_at = m.next_free[li];
+            let start = if free_at > t { free_at } else { t };
+            m.stats.contention_ps += start.saturating_sub(t).as_ps();
+            let mut depart = start + pipeline;
+            if dir == DIR_UP || dir == DIR_DOWN {
+                depart += m.clock.cycles(m.cfg.vertical_hop_cycles);
+                m.stats.vertical_hops += 1;
+            }
+            let tail = depart + serialise;
+            m.next_free[li] = tail;
+            m.stats.hops += 1;
+            m.stats.flit_hops += flits;
+            t = tail;
+            cur = next;
+        }
+        t
+    }
+
+    #[test]
+    fn route_matches_the_per_hop_reference() {
+        // Every src/dst pair on every class, control and data sized,
+        // sent at staggered times so reservations pile up: the arrival
+        // times, every link's reservation and the statistics agree.
+        for (chips, ghz) in [(1, 2.0), (2, 3.6), (8, 1.3)] {
+            let mut fast = mesh(chips, ghz);
+            let mut slow = mesh(chips, ghz);
+            let nodes: Vec<Node> = (0..chips)
+                .flat_map(|c| (0..16).map(move |t| Node::new(c, t)))
+                .collect();
+            let mut i = 0u64;
+            for class in [MsgClass::Request, MsgClass::Forward, MsgClass::Response] {
+                for &src in &nodes {
+                    for &dst in &nodes {
+                        let flits = if i.is_multiple_of(3) { 5 } else { 1 };
+                        let now = Time::from_ps(i * 97 % 40_000);
+                        i += 1;
+                        assert_eq!(
+                            fast.route(src, dst, class, flits, now),
+                            route_reference(&mut slow, src, dst, class, flits, now),
+                            "{chips} chips: {src:?} -> {dst:?} on {class:?}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(fast.next_free, slow.next_free);
+            assert_eq!(fast.stats, slow.stats);
+            assert!(fast.stats.contention_ps > 0);
+        }
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! See the crate docs for the architecture and the fidelity notes.
 
 use crate::cache::{Access, CacheArray};
-use crate::coherence::{DirEntry, DirUpdate, L1State, MsgKind};
+use crate::coherence::{CoreIds, DirEntry, DirUpdate, L1State, MsgKind};
 use crate::config::SystemConfig;
 use crate::cpu::{Core, CoreState};
+use crate::linemap::LineMap;
 use crate::noc::{Mesh, NocStats, Node};
 use immersion_desim::{Clock, EventQueue, Histogram, Time};
 use immersion_npb::trace::{Op, ThreadTrace};
 use immersion_npb::TraceGenerator;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Sentinel requester meaning "invalidate without acking anyone"
 /// (used for L2 victim recalls).
@@ -75,8 +76,8 @@ type L2Meta = bool;
 struct Bank {
     node: Node,
     l2: CacheArray<L2Meta>,
-    dir: HashMap<u64, DirEntry>,
-    busy: HashMap<u64, Busy>,
+    dir: LineMap<DirEntry>,
+    busy: LineMap<Busy>,
     dram_accesses: u64,
 }
 
@@ -250,8 +251,8 @@ impl System {
                 Bank {
                     node: Node::new(chip, tile),
                     l2: CacheArray::new(cfg.l2_bank_kib, cfg.l2_assoc, cfg.line_bytes),
-                    dir: HashMap::new(),
-                    busy: HashMap::new(),
+                    dir: LineMap::default(),
+                    busy: LineMap::default(),
                     dram_accesses: 0,
                 }
             })
@@ -746,32 +747,24 @@ impl System {
     fn home_request(&mut self, b: u32, msg: Msg, now: Time) {
         let t0 = now + self.clock.cycles(self.cfg.l2_latency);
         let req = msg.sender;
-        let bank_node = self.banks[b as usize].node;
-
-        // Snapshot / normalise the directory entry.
-        let mut owner;
-        {
-            let bank = &mut self.banks[b as usize];
-            let entry = bank.dir.entry(msg.line).or_default();
-            owner = entry.owner;
-            // A requester listed as owner lost the line to its own
-            // in-flight writeback; treat as no owner.
-            if owner == Some(req) {
-                entry.owner = None;
-                owner = None;
-            }
+        let bank = &mut self.banks[b as usize];
+        let bank_node = bank.node;
+        let entry = bank.dir.entry(msg.line).or_default();
+        // A requester listed as owner lost the line to its own
+        // in-flight writeback; treat as no owner.
+        if entry.owner == Some(req) {
+            entry.owner = None;
         }
+        let owner = entry.owner;
+        let await_owner = || Busy {
+            kind: BusyKind::AwaitOwner,
+            waiting: VecDeque::new(),
+        };
 
         match msg.kind {
             MsgKind::GetS => {
                 if let Some(o) = owner {
-                    self.banks[b as usize].busy.insert(
-                        msg.line,
-                        Busy {
-                            kind: BusyKind::AwaitOwner,
-                            waiting: VecDeque::new(),
-                        },
-                    );
+                    bank.busy.insert(msg.line, await_owner());
                     self.send_to_core(
                         bank_node,
                         o,
@@ -786,21 +779,13 @@ impl System {
                     return;
                 }
                 // Serve from L2 or memory.
-                let hit = {
-                    let bank = &mut self.banks[b as usize];
-                    matches!(bank.l2.access(msg.line, false), Access::Hit)
-                };
-                if hit {
-                    let to_state = {
-                        let bank = &mut self.banks[b as usize];
-                        let entry = bank.dir.entry(msg.line).or_default();
-                        if entry.is_idle() {
-                            entry.owner = Some(req);
-                            L1State::E
-                        } else {
-                            entry.add_sharer(req);
-                            L1State::S
-                        }
+                if matches!(bank.l2.access(msg.line, false), Access::Hit) {
+                    let to_state = if entry.is_idle() {
+                        entry.owner = Some(req);
+                        L1State::E
+                    } else {
+                        entry.add_sharer(req);
+                        L1State::S
                     };
                     self.send_to_core(
                         bank_node,
@@ -823,15 +808,21 @@ impl System {
             MsgKind::GetM => {
                 // Invalidate sharers (other than the requester) now; the
                 // acks converge at the requester.
-                let (acks, was_sharer) = {
-                    let bank = &mut self.banks[b as usize];
-                    let entry = bank.dir.entry(msg.line).or_default();
-                    let was_sharer = entry.is_sharer(req);
-                    let targets: Vec<u32> = entry.sharer_ids().filter(|&s| s != req).collect();
-                    entry.sharers = 0;
-                    (targets, was_sharer)
-                };
-                for &s in &acks {
+                let was_sharer = entry.is_sharer(req);
+                let invalidate = CoreIds(entry.sharers & !(1 << req));
+                let n_acks = invalidate.0.count_ones();
+                entry.sharers = 0;
+                // Without an owner, L2 (or an upgrading sharer's own
+                // copy) supplies the line unless it must come from DRAM.
+                let grant_now = owner.is_none()
+                    && (matches!(bank.l2.access(msg.line, false), Access::Hit) || was_sharer);
+                if grant_now {
+                    entry.owner = Some(req);
+                }
+                if owner.is_some() {
+                    bank.busy.insert(msg.line, await_owner());
+                }
+                for s in invalidate {
                     self.send_to_core(
                         bank_node,
                         s,
@@ -844,16 +835,8 @@ impl System {
                         false,
                     );
                 }
-                let n_acks = acks.len() as u32;
 
                 if let Some(o) = owner {
-                    self.banks[b as usize].busy.insert(
-                        msg.line,
-                        Busy {
-                            kind: BusyKind::AwaitOwner,
-                            waiting: VecDeque::new(),
-                        },
-                    );
                     self.send_to_core(
                         bank_node,
                         o,
@@ -868,19 +851,7 @@ impl System {
                         t0,
                         false,
                     );
-                    return;
-                }
-                let hit = {
-                    let bank = &mut self.banks[b as usize];
-                    matches!(bank.l2.access(msg.line, false), Access::Hit)
-                };
-                if hit || was_sharer {
-                    {
-                        let bank = &mut self.banks[b as usize];
-                        let entry = bank.dir.entry(msg.line).or_default();
-                        entry.owner = Some(req);
-                        entry.sharers = 0;
-                    }
+                } else if grant_now {
                     self.send_to_core(
                         bank_node,
                         req,
@@ -946,40 +917,35 @@ impl System {
             // an AwaitMem entry for the line.
             unreachable!("MemDone while awaiting owner");
         };
-        // Install the fetched line in L2, recalling any victim.
-        let victim = {
-            let bank = &mut self.banks[b as usize];
-            match bank.l2.access(line, false) {
-                Access::MissEvict(v, _dirty) => Some(v),
-                _ => None,
+        // Install the fetched line in L2 and grant it; the victim (never
+        // the line itself) is recalled before the grant is sent.
+        let bank = &mut self.banks[b as usize];
+        let bank_node = bank.node;
+        let victim = match bank.l2.access(line, false) {
+            Access::MissEvict(v, _dirty) => Some(v),
+            _ => None,
+        };
+        let entry = bank.dir.entry(line).or_default();
+        let to_state = match req.kind {
+            MsgKind::GetS => {
+                if entry.is_idle() {
+                    entry.owner = Some(req.sender);
+                    L1State::E
+                } else {
+                    entry.add_sharer(req.sender);
+                    L1State::S
+                }
             }
+            MsgKind::GetM => {
+                entry.owner = Some(req.sender);
+                entry.sharers = 0;
+                L1State::M
+            }
+            _ => unreachable!(),
         };
         if let Some(v) = victim {
             self.recall_victim(b, v, now);
         }
-        // Grant.
-        let bank_node = self.banks[b as usize].node;
-        let to_state = {
-            let bank = &mut self.banks[b as usize];
-            let entry = bank.dir.entry(line).or_default();
-            match req.kind {
-                MsgKind::GetS => {
-                    if entry.is_idle() {
-                        entry.owner = Some(req.sender);
-                        L1State::E
-                    } else {
-                        entry.add_sharer(req.sender);
-                        L1State::S
-                    }
-                }
-                MsgKind::GetM => {
-                    entry.owner = Some(req.sender);
-                    entry.sharers = 0;
-                    L1State::M
-                }
-                _ => unreachable!(),
-            }
-        };
         self.send_to_core(
             bank_node,
             req.sender,
@@ -1004,18 +970,15 @@ impl System {
         // (the L2 array drops the data, the directory does not forget) —
         // recalling it would race the forward already heading to its
         // owner.
-        if self.banks[b as usize].busy.contains_key(&victim) {
+        let bank = &mut self.banks[b as usize];
+        if bank.busy.contains_key(&victim) {
             return;
         }
-        let Some(entry) = self.banks[b as usize].dir.remove(&victim) else {
+        let Some(entry) = bank.dir.remove(&victim) else {
             return;
         };
-        let bank_node = self.banks[b as usize].node;
-        let mut targets: Vec<u32> = entry.sharer_ids().collect();
-        if let Some(o) = entry.owner {
-            targets.push(o);
-        }
-        for t in targets {
+        let bank_node = bank.node;
+        for t in entry.sharer_ids().chain(entry.owner) {
             self.send_to_core(
                 bank_node,
                 t,
@@ -1032,33 +995,25 @@ impl System {
 
     fn home_putm(&mut self, b: u32, msg: Msg, now: Time) {
         let t0 = now + self.clock.cycles(self.cfg.l2_latency);
-        let stale = {
-            let bank = &mut self.banks[b as usize];
-            let entry = bank.dir.entry(msg.line).or_default();
-            entry.owner != Some(msg.sender)
-        };
-        if !stale {
-            {
-                let bank = &mut self.banks[b as usize];
-                let entry = bank.dir.entry(msg.line).or_default();
-                entry.owner = None;
-            }
-            let victim = {
-                let bank = &mut self.banks[b as usize];
-                match bank.l2.access(msg.line, true) {
-                    Access::MissEvict(v, _m) => Some(v),
-                    Access::Hit => {
-                        bank.l2.update_meta(msg.line, true);
-                        None
-                    }
-                    Access::Miss => None,
+        let bank = &mut self.banks[b as usize];
+        let bank_node = bank.node;
+        let entry = bank.dir.entry(msg.line).or_default();
+        // A PutM from a core that is no longer the owner is stale: the
+        // line moved on while it was in flight.
+        if entry.owner == Some(msg.sender) {
+            entry.owner = None;
+            let victim = match bank.l2.access(msg.line, true) {
+                Access::MissEvict(v, _m) => Some(v),
+                Access::Hit => {
+                    bank.l2.update_meta(msg.line, true);
+                    None
                 }
+                Access::Miss => None,
             };
             if let Some(v) = victim {
                 self.recall_victim(b, v, now);
             }
         }
-        let bank_node = self.banks[b as usize].node;
         self.send_to_core(
             bank_node,
             msg.sender,

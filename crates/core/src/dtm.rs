@@ -24,7 +24,7 @@
 use crate::design::CmpDesign;
 use crate::explorer::power_at;
 use immersion_thermal::transient::TransientSolver;
-use immersion_thermal::Result;
+use immersion_thermal::{Result, ThermalError};
 use serde::{Deserialize, Serialize};
 
 /// A periodic two-phase activity pattern: `busy_fraction` of each
@@ -123,6 +123,11 @@ pub struct DtmOutcome {
 ///
 /// The core starts at the top VFS step (DTM's optimism: run fast, react
 /// when hot) with the stack at coolant temperature.
+///
+/// # Errors
+/// [`ThermalError::BadParameter`] unless `control_interval_s` is positive
+/// and finite and `duration_s` is finite and at least one interval;
+/// otherwise the thermal model's and solver's errors.
 pub fn simulate(
     design: &CmpDesign,
     phases: PowerPhases,
@@ -130,7 +135,17 @@ pub fn simulate(
     duration_s: f64,
     control_interval_s: f64,
 ) -> Result<DtmOutcome> {
-    assert!(control_interval_s > 0.0 && duration_s >= control_interval_s);
+    // Written so that NaN fails every comparison and is rejected.
+    if !(control_interval_s > 0.0
+        && control_interval_s.is_finite()
+        && duration_s >= control_interval_s
+        && duration_s.is_finite())
+    {
+        return Err(ThermalError::BadParameter(format!(
+            "DTM needs a positive, finite control interval and a finite duration of at least \
+             one interval; got interval {control_interval_s} s, duration {duration_s} s"
+        )));
+    }
     let model = design.thermal_model()?;
     let steps = design.chip.vfs.steps();
     let max_index = steps.len() - 1;
@@ -233,6 +248,31 @@ mod tests {
         assert_eq!(p.activity_at(1.1), 1.0); // 55% of the 2s period
         assert_eq!(p.activity_at(1.5), 0.35); // 75%: idle phase
         assert_eq!(p.activity_at(2.0), 1.0); // periodic
+    }
+
+    #[test]
+    fn bad_interval_or_duration_is_an_error_not_a_panic() {
+        let d = design(CoolingParams::air());
+        let run = |duration_s: f64, interval_s: f64| {
+            let ctl = DtmController::new(80.0, 4.0);
+            simulate(&d, PowerPhases::worst_case(), ctl, duration_s, interval_s)
+        };
+        for (duration_s, interval_s) in [
+            (10.0, 0.0),
+            (10.0, -1.0),
+            (10.0, f64::NAN),
+            (f64::NAN, 0.5),
+            (0.2, 0.5),
+            (f64::INFINITY, 0.5),
+        ] {
+            assert!(
+                matches!(
+                    run(duration_s, interval_s),
+                    Err(ThermalError::BadParameter(_))
+                ),
+                "duration {duration_s}, interval {interval_s}"
+            );
+        }
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! scheduled for the same instant at the same priority, so a simulation
 //! is a pure function of its inputs — an essential property both for
 //! debugging and for the reproducibility claims of the experiment
-//! harness.
+//! harness. The heap compares the three as one packed `u128`,
+//! `time << 64 | priority << 56 | seq`, which orders exactly as the
+//! tuple does while sequence numbers stay below 2^56.
 
 use crate::time::Time;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// Dispatch priority within a single simulated instant.
@@ -31,27 +33,34 @@ pub struct Event<P> {
     pub payload: P,
 }
 
-impl<P> PartialEq for Event<P> {
+/// Sequence numbers occupy the low 56 bits of a packed key.
+const SEQ_BITS: u32 = 56;
+
+/// A pending event: its packed `(time, priority, seq)` key and payload,
+/// ordered by the key alone.
+#[derive(Debug)]
+struct Keyed<P> {
+    key: u128,
+    payload: P,
+}
+
+impl<P> PartialEq for Keyed<P> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.priority == other.priority && self.seq == other.seq
+        self.key == other.key
     }
 }
-impl<P> Eq for Event<P> {}
+impl<P> Eq for Keyed<P> {}
 
-impl<P> PartialOrd for Event<P> {
+impl<P> PartialOrd for Keyed<P> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<P> Ord for Event<P> {
+impl<P> Ord for Keyed<P> {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event is on top.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.priority.cmp(&self.priority))
-            .then_with(|| other.seq.cmp(&self.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -60,7 +69,8 @@ impl<P> Ord for Event<P> {
 /// See the crate-level docs for an example.
 #[derive(Debug)]
 pub struct EventQueue<P> {
-    heap: BinaryHeap<Event<P>>,
+    /// A min-heap on the packed key (`BinaryHeap` is a max-heap).
+    heap: BinaryHeap<Reverse<Keyed<P>>>,
     next_seq: u64,
     now: Time,
     popped: u64,
@@ -111,7 +121,8 @@ impl<P> EventQueue<P> {
     ///
     /// # Panics
     /// Panics if `time` is in the simulated past — scheduling backwards in
-    /// time is always a modelling bug.
+    /// time is always a modelling bug — or after 2^56 events have been
+    /// scheduled on one queue.
     pub fn schedule(&mut self, time: Time, priority: Priority, payload: P) {
         assert!(
             time >= self.now,
@@ -120,13 +131,11 @@ impl<P> EventQueue<P> {
             self.now
         );
         let seq = self.next_seq;
+        assert!(seq >> SEQ_BITS == 0, "event sequence numbers exhausted");
         self.next_seq += 1;
-        self.heap.push(Event {
-            time,
-            priority,
-            seq,
-            payload,
-        });
+        let key =
+            u128::from(time.as_ps()) << 64 | u128::from(priority) << SEQ_BITS | u128::from(seq);
+        self.heap.push(Reverse(Keyed { key, payload }));
     }
 
     /// Schedule `payload` `delay` after the current time.
@@ -137,16 +146,24 @@ impl<P> EventQueue<P> {
 
     /// Peek at the time of the next pending event.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.time)
+        self.heap
+            .peek()
+            .map(|e| Time::from_ps((e.0.key >> 64) as u64))
     }
 
     /// Remove and return the next event, advancing the simulated clock.
     pub fn pop(&mut self) -> Option<Event<P>> {
-        let ev = self.heap.pop()?;
-        debug_assert!(ev.time >= self.now, "event queue went backwards");
-        self.now = ev.time;
+        let Reverse(Keyed { key, payload }) = self.heap.pop()?;
+        let time = Time::from_ps((key >> 64) as u64);
+        debug_assert!(time >= self.now, "event queue went backwards");
+        self.now = time;
         self.popped += 1;
-        Some(ev)
+        Some(Event {
+            time,
+            priority: (key >> SEQ_BITS) as Priority,
+            seq: key as u64 & ((1 << SEQ_BITS) - 1),
+            payload,
+        })
     }
 
     /// Drop all pending events (the clock keeps its position).
@@ -158,6 +175,44 @@ impl<P> EventQueue<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Interleaved schedules and pops deliver events in the order of
+        /// sorting the pending ones by `(time, priority, seq)`. Offsets
+        /// from `now` are small (so times and priorities collide), or
+        /// reach `Time::MAX`.
+        #[test]
+        fn pops_in_time_priority_seq_order(
+            ops in proptest::collection::vec((0u64..8, 0u8..3, 0u8..3), 1..300)
+        ) {
+            let mut q = EventQueue::new();
+            let mut pending: Vec<(Time, Priority, u64, usize)> = Vec::new();
+            let check_pop = |q: &mut EventQueue<usize>, pending: &mut Vec<(Time, Priority, u64, usize)>| {
+                pending.sort();
+                let want = (!pending.is_empty()).then(|| pending.remove(0));
+                let got = q.pop().map(|e| (e.time, e.priority, e.seq, e.payload));
+                (got, want)
+            };
+            for (i, &(offset, priority, pops)) in ops.iter().enumerate() {
+                let ps = if offset == 7 { u64::MAX } else { q.now().as_ps().saturating_add(offset) };
+                q.schedule(Time::from_ps(ps), priority, i);
+                pending.push((Time::from_ps(ps), priority, i as u64, i));
+                for _ in 0..pops {
+                    let (got, want) = check_pop(&mut q, &mut pending);
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(q.len(), pending.len());
+                }
+            }
+            while !pending.is_empty() {
+                let (got, want) = check_pop(&mut q, &mut pending);
+                prop_assert_eq!(got, want);
+            }
+            prop_assert!(q.pop().is_none());
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
