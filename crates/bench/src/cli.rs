@@ -20,9 +20,7 @@ use immersion_campaign::glob::glob_match;
 use immersion_campaign::{Cache, Manifest, ProgressPrinter, RunOptions};
 use immersion_core::design::CmpDesign;
 use immersion_core::explorer::{frequency_vs_chips, max_frequency, solve_at};
-use immersion_power::chips::{
-    high_frequency_cmp, low_power_cmp, xeon_e5_2667v4, xeon_phi_7290, ChipModel,
-};
+use immersion_power::chips::{self, ChipModel};
 use immersion_thermal::stack3d::CoolingParams;
 
 /// A parsed command, ready to run.
@@ -303,25 +301,15 @@ pub fn usage() -> String {
 
 /// Resolve a chip key.
 pub fn chip_by_key(key: &str) -> Result<ChipModel, String> {
-    match key {
-        "lp" | "low-power" => Ok(low_power_cmp()),
-        "hf" | "high-frequency" => Ok(high_frequency_cmp()),
-        "e5" => Ok(xeon_e5_2667v4()),
-        "phi" => Ok(xeon_phi_7290()),
-        other => Err(format!("unknown chip '{other}' (lp|hf|e5|phi)")),
-    }
+    chips::chip_by_key(key)
+        .cloned()
+        .ok_or_else(|| format!("unknown chip '{key}' ({})", chips::CHIP_KEYS))
 }
 
 /// Resolve a cooling key.
 pub fn cooling_by_key(key: &str) -> Result<CoolingParams, String> {
-    match key {
-        "air" => Ok(CoolingParams::air()),
-        "pipe" | "water-pipe" => Ok(CoolingParams::water_pipe()),
-        "oil" | "mineral-oil" => Ok(CoolingParams::mineral_oil()),
-        "fc" | "fluorinert" => Ok(CoolingParams::fluorinert()),
-        "water" => Ok(CoolingParams::water_immersion()),
-        other => Err(format!("unknown cooling '{other}' (air|pipe|oil|fc|water)")),
-    }
+    CoolingParams::by_key(key)
+        .ok_or_else(|| format!("unknown cooling '{key}' ({})", CoolingParams::KEYS))
 }
 
 /// Execute a parsed command, returning the text to print.
@@ -797,11 +785,17 @@ mod tests {
         for k in ["lp", "hf", "e5", "phi"] {
             assert!(chip_by_key(k).is_ok());
         }
-        assert!(chip_by_key("486").is_err());
+        assert_eq!(
+            chip_by_key("486").unwrap_err(),
+            "unknown chip '486' (lp|hf|e5|phi)"
+        );
         for k in ["air", "pipe", "oil", "fc", "water"] {
             assert!(cooling_by_key(k).is_ok());
         }
-        assert!(cooling_by_key("lava").is_err());
+        assert_eq!(
+            cooling_by_key("lava").unwrap_err(),
+            "unknown cooling 'lava' (air|pipe|oil|fc|water)"
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::components::{ComponentKind, Decomposition};
 use crate::vfs::{VfsCurve, VfsTable};
 use immersion_thermal::floorplan::{baseline_16_tile, Floorplan, Rect};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A complete chip model: geometry, VFS table and power decomposition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -173,6 +174,28 @@ pub fn all_chips() -> Vec<ChipModel> {
         xeon_e5_2667v4(),
         xeon_phi_7290(),
     ]
+}
+
+/// The chip keys the CLI and the HTTP API accept, for error messages.
+pub const CHIP_KEYS: &str = "lp|hf|e5|phi";
+
+/// The chip model for a key or alias (`lp|low-power`,
+/// `hf|high-frequency`, `e5`, `phi`), or `None` for an unknown key.
+///
+/// The four models are built once per process, on the first lookup,
+/// and shared: a model is a constant, and building one inverts the
+/// alpha-power law at every VFS step.
+pub fn chip_by_key(key: &str) -> Option<&'static ChipModel> {
+    static MODELS: OnceLock<Vec<ChipModel>> = OnceLock::new();
+    // Indices into `all_chips`, which lists the chips in this order.
+    let i = match key {
+        "lp" | "low-power" => 0,
+        "hf" | "high-frequency" => 1,
+        "e5" => 2,
+        "phi" => 3,
+        _ => return None,
+    };
+    MODELS.get_or_init(all_chips).get(i)
 }
 
 /// Synthetic RAPL-style measurement anchors for Figure 6's

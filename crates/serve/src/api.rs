@@ -32,8 +32,7 @@ use immersion_campaign::Lookup;
 use immersion_core::design::CmpDesign;
 use immersion_core::explorer;
 use immersion_faultsim::{self as faultsim, FaultKind};
-use immersion_power::chips::ChipModel;
-use immersion_power::chips::{high_frequency_cmp, low_power_cmp, xeon_e5_2667v4, xeon_phi_7290};
+use immersion_power::chips::{self, ChipModel};
 use immersion_thermal::stack3d::CoolingParams;
 use immersion_thermal::ThermalModel;
 use minihttp::{Handler, Request, Response};
@@ -131,31 +130,24 @@ pub struct DesignSpec {
     pub threshold: Option<f64>,
 }
 
+/// Resolve a chip key to the process-wide shared model, without
+/// cloning it.
+pub(crate) fn shared_chip(key: &str) -> Result<&'static ChipModel, ApiError> {
+    chips::chip_by_key(key).ok_or_else(|| {
+        ApiError::bad_request(format!("unknown chip '{key}' ({})", chips::CHIP_KEYS))
+    })
+}
+
 /// Resolve a chip key to its model.
 pub fn chip_by_key(key: &str) -> Result<ChipModel, ApiError> {
-    match key {
-        "lp" | "low-power" => Ok(low_power_cmp()),
-        "hf" | "high-frequency" => Ok(high_frequency_cmp()),
-        "e5" => Ok(xeon_e5_2667v4()),
-        "phi" => Ok(xeon_phi_7290()),
-        other => Err(ApiError::bad_request(format!(
-            "unknown chip '{other}' (lp|hf|e5|phi)"
-        ))),
-    }
+    shared_chip(key).cloned()
 }
 
 /// Resolve a cooling key to its parameters.
 pub fn cooling_by_key(key: &str) -> Result<CoolingParams, ApiError> {
-    match key {
-        "air" => Ok(CoolingParams::air()),
-        "pipe" | "water-pipe" => Ok(CoolingParams::water_pipe()),
-        "oil" | "mineral-oil" => Ok(CoolingParams::mineral_oil()),
-        "fc" | "fluorinert" => Ok(CoolingParams::fluorinert()),
-        "water" => Ok(CoolingParams::water_immersion()),
-        other => Err(ApiError::bad_request(format!(
-            "unknown cooling '{other}' (air|pipe|oil|fc|water)"
-        ))),
-    }
+    CoolingParams::by_key(key).ok_or_else(|| {
+        ApiError::bad_request(format!("unknown cooling '{key}' ({})", CoolingParams::KEYS))
+    })
 }
 
 fn get_str(v: &Value, key: &str) -> Option<String> {
@@ -198,7 +190,7 @@ impl DesignSpec {
         }
         let chip = get_str(v, "chip")
             .ok_or_else(|| ApiError::bad_request("missing required field 'chip'"))?;
-        chip_by_key(&chip)?;
+        shared_chip(&chip)?;
         let cooling = get_str(v, "cooling")
             .ok_or_else(|| ApiError::bad_request("missing required field 'cooling'"))?;
         cooling_by_key(&cooling)?;

@@ -10,7 +10,7 @@
 //! metadata, once publishing the terminal state — never across the
 //! scheduler call.
 
-use crate::api::{chip_by_key, cooling_by_key, ApiError, MAX_CHIPS, MAX_GRID};
+use crate::api::{chip_by_key, cooling_by_key, shared_chip, ApiError, MAX_CHIPS, MAX_GRID};
 use crate::metrics::Metrics;
 use immersion_campaign::hash::fnv1a64;
 use immersion_campaign::{Campaign, Job, RunOptions};
@@ -69,7 +69,7 @@ impl CampaignRegistry {
             .and_then(Value::as_str)
             .ok_or_else(|| ApiError::bad_request("missing required field 'chip'"))?
             .to_string();
-        chip_by_key(&chip_key)?;
+        shared_chip(&chip_key)?;
         let cooling_key = body
             .get("cooling")
             .and_then(Value::as_str)

@@ -129,6 +129,42 @@ fn malformed_and_invalid_bodies_get_clean_400s() {
 }
 
 #[test]
+fn unknown_chip_and_cooling_keys_get_their_exact_400_text() {
+    let (running, dir) = boot("badkeys", 1);
+    let mut c = client(&running);
+
+    for (path, body, want) in [
+        (
+            "/v1/evaluate",
+            r#"{"chip":"486","chips":2,"cooling":"water"}"#,
+            "unknown chip '486' (lp|hf|e5|phi)",
+        ),
+        (
+            "/v1/search",
+            r#"{"chip":"lp","chips":2,"cooling":"lava"}"#,
+            "unknown cooling 'lava' (air|pipe|oil|fc|water)",
+        ),
+        (
+            "/v1/campaign",
+            r#"{"chip":"486","cooling":"water","max_chips":2}"#,
+            "unknown chip '486' (lp|hf|e5|phi)",
+        ),
+        (
+            "/v1/campaign",
+            r#"{"chip":"hf","cooling":"lava","max_chips":2}"#,
+            "unknown cooling 'lava' (air|pipe|oil|fc|water)",
+        ),
+    ] {
+        let (status, v) = post(&mut c, path, body);
+        assert_eq!(status, 400, "{path} {body} -> {v:?}");
+        assert_eq!(v.get("error").and_then(Value::as_str), Some(want), "{body}");
+    }
+
+    running.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn unknown_routes_are_404() {
     let (running, dir) = boot("routes", 1);
     let mut c = client(&running);

@@ -150,6 +150,24 @@ impl CoolingParams {
         }
     }
 
+    /// The cooling keys the CLI and the HTTP API accept, for error
+    /// messages.
+    pub const KEYS: &'static str = "air|pipe|oil|fc|water";
+
+    /// The option for a key or alias (`air`, `pipe|water-pipe`,
+    /// `oil|mineral-oil`, `fc|fluorinert`, `water`), or `None` for an
+    /// unknown key.
+    pub fn by_key(key: &str) -> Option<CoolingParams> {
+        match key {
+            "air" => Some(Self::air()),
+            "pipe" | "water-pipe" => Some(Self::water_pipe()),
+            "oil" | "mineral-oil" => Some(Self::mineral_oil()),
+            "fc" | "fluorinert" => Some(Self::fluorinert()),
+            "water" => Some(Self::water_immersion()),
+            _ => None,
+        }
+    }
+
     /// The five options of Figures 7/8/17, in the paper's order.
     pub fn paper_options() -> Vec<CoolingParams> {
         vec![
@@ -600,6 +618,26 @@ mod tests {
         let mut p = model.zero_power();
         p.fill_with(|_, _| watts_per_chip / 16.0);
         p
+    }
+
+    #[test]
+    fn cooling_keys_and_aliases_resolve_to_their_constructors() {
+        let cases = [
+            ("air", CoolingParams::air()),
+            ("pipe", CoolingParams::water_pipe()),
+            ("water-pipe", CoolingParams::water_pipe()),
+            ("oil", CoolingParams::mineral_oil()),
+            ("mineral-oil", CoolingParams::mineral_oil()),
+            ("fc", CoolingParams::fluorinert()),
+            ("fluorinert", CoolingParams::fluorinert()),
+            ("water", CoolingParams::water_immersion()),
+        ];
+        for (key, want) in cases {
+            assert_eq!(CoolingParams::by_key(key), Some(want), "{key}");
+        }
+        for key in ["", "lava", "Water", "water "] {
+            assert_eq!(CoolingParams::by_key(key), None, "{key:?}");
+        }
     }
 
     #[test]
