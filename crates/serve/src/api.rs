@@ -6,13 +6,16 @@
 //! 1. **Canonicalise** the body into a sorted JSON map and hash it
 //!    into a content key (`eval-<fnv64>` / `search-<fnv64>`).
 //! 2. **Result store**: a valid entry for the key answers immediately
-//!    (`source: "store"`); a poisoned entry is quarantined and falls
-//!    through to recompute.
+//!    (`source: "store"`), from the store's in-process index when this
+//!    process has read the entry before; a poisoned entry is
+//!    quarantined and falls through to recompute. Only the frequency
+//!    is validated before this step, against the shared chip table: a
+//!    hit builds no design and never touches the pool.
 //! 3. **Single-flight**: identical bodies already being solved are
 //!    joined, not re-solved (`source: "flight"`).
-//! 4. **Leader path**: fetch (or build) the design's warm model from
-//!    the bounded pool, solve with no locks held, persist to the
-//!    store, publish to joiners (`source: "solved"`).
+//! 4. **Leader path**: build the design, fetch (or build) its warm
+//!    model from the bounded pool, solve with no locks held, persist
+//!    to the store, publish to joiners (`source: "solved"`).
 //!
 //! Fault hooks: [`SERVE_PARSE`](faultsim::site::SERVE_PARSE) fires
 //! before body parsing, [`SERVE_DISPATCH`](faultsim::site::SERVE_DISPATCH)
@@ -28,7 +31,6 @@ use crate::metrics::{InFlight, Metrics};
 use crate::pool::ModelPool;
 use crate::store::ResultStore;
 use immersion_campaign::hash::fnv1a64;
-use immersion_campaign::Lookup;
 use immersion_core::design::CmpDesign;
 use immersion_core::explorer;
 use immersion_faultsim::{self as faultsim, FaultKind};
@@ -325,12 +327,9 @@ fn solve_deduped(
     compute: impl FnOnce() -> Result<Value, ApiError>,
 ) -> Result<Value, ApiError> {
     let key = content_key(namespace, &canonical);
-    match state.store.lookup(&key) {
-        Lookup::Hit(entry) => {
-            state.metrics.store_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(with_source(&entry.output, "store"));
-        }
-        Lookup::Miss | Lookup::Poisoned => {}
+    if let Some(entry) = state.store.get(&key) {
+        state.metrics.store_hits.fetch_add(1, Ordering::Relaxed);
+        return Ok(with_source(&entry.output, "store"));
     }
     let token = match state.flight.enter(&state.flight, &key) {
         Entry::Joined(Ok(json)) => {
@@ -349,7 +348,7 @@ fn solve_deduped(
     // first lookup and its `enter`. Without this, that window would
     // re-solve an already-stored body and break the "one solve per
     // distinct body" accounting the load test replays bit-for-bit.
-    if let Lookup::Hit(entry) = state.store.lookup(&key) {
+    if let Some(entry) = state.store.get(&key) {
         state.metrics.store_hits.fetch_add(1, Ordering::Relaxed);
         let json = serde_json::to_string(&entry.output)
             .map_err(|e| ApiError::internal(format!("stored result unserializable: {e}")))?;
@@ -444,15 +443,16 @@ fn evaluate(state: &ServeState, req: &Request) -> Result<Value, ApiError> {
             },
         );
     }
-    let design = spec.design()?;
+    let vfs = &shared_chip(&spec.chip)?.vfs;
     let step = match freq_ghz {
-        Some(f) => design.chip.vfs.step_at_or_below(f).ok_or_else(|| {
+        Some(f) => vfs.step_at_or_below(f).ok_or_else(|| {
             ApiError::bad_request(format!("freq {f} GHz is below the chip's VFS table"))
         })?,
-        None => design.chip.vfs.max_step(),
+        None => vfs.max_step(),
     };
-    let model = pooled_model(state, &spec)?;
     solve_deduped(state, "eval", canonical, delay_ms, move || {
+        let design = spec.design()?;
+        let model = pooled_model(state, &spec)?;
         let sol = explorer::solve_at(&design, &model, step, None)
             .map_err(|e| ApiError::internal(format!("solve failed: {e}")))?;
         let peak = sol.die_max();
@@ -475,9 +475,9 @@ fn search(state: &ServeState, req: &Request) -> Result<Value, ApiError> {
     let spec = DesignSpec::from_value(&body)?;
     let delay_ms = delay_of(&body)?;
     let canonical = spec.canonical();
-    let design = spec.design()?;
-    let model = pooled_model(state, &spec)?;
     solve_deduped(state, "search", canonical, delay_ms, move || {
+        let design = spec.design()?;
+        let model = pooled_model(state, &spec)?;
         let (best, stats) = explorer::max_frequency_searched(&design, &model, true);
         let mut r = BTreeMap::new();
         r.insert("feasible".to_string(), Value::Bool(best.is_some()));

@@ -84,6 +84,55 @@ fn evaluate_round_trips_and_second_hit_comes_from_store() {
 }
 
 #[test]
+fn a_repeated_body_is_answered_without_touching_the_model_pool() {
+    let (running, dir) = boot("repeat", 1);
+    let mut c = client(&running);
+    for path in ["/v1/evaluate", "/v1/search"] {
+        let (status, v) = post(&mut c, path, LP_WATER);
+        assert_eq!(status, 200, "{v:?}");
+        assert_eq!(v.get("source").and_then(Value::as_str), Some("solved"));
+    }
+    let (_, before) = get_text(&mut c, "/metrics");
+    for _ in 0..3 {
+        for path in ["/v1/evaluate", "/v1/search"] {
+            let (status, v) = post(&mut c, path, LP_WATER);
+            assert_eq!(status, 200, "{v:?}");
+            assert_eq!(v.get("source").and_then(Value::as_str), Some("store"));
+        }
+    }
+    let (_, after) = get_text(&mut c, "/metrics");
+    for name in ["serve_pool_hits", "serve_pool_builds", "serve_solves_total"] {
+        assert_eq!(metric(&after, name), metric(&before, name), "{name}");
+    }
+    assert_eq!(metric(&after, "serve_store_hits"), 6);
+
+    running.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_frequency_below_the_vfs_table_is_a_400_before_the_store_is_read() {
+    let (running, dir) = boot("lowfreq", 1);
+    let mut c = client(&running);
+    let body = r#"{"chip":"lp","chips":2,"cooling":"water","grid":[4,4],"freq_ghz":0.01}"#;
+    for _ in 0..2 {
+        let (status, v) = post(&mut c, "/v1/evaluate", body);
+        assert_eq!(status, 400, "{v:?}");
+        assert_eq!(
+            v.get("error").and_then(Value::as_str),
+            Some("freq 0.01 GHz is below the chip's VFS table")
+        );
+    }
+    let (_, m) = get_text(&mut c, "/metrics");
+    assert_eq!(metric(&m, "serve_solves_total"), 0);
+    assert_eq!(metric(&m, "serve_pool_builds"), 0);
+    assert_eq!(metric(&m, "serve_store_entries"), 0);
+
+    running.shutdown();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn search_round_trips_with_a_feasible_step() {
     let (running, dir) = boot("search", 2);
     let mut c = client(&running);
